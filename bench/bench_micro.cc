@@ -368,10 +368,14 @@ BENCHMARK(BM_PlanSteadyStateAllocs);
 
 // Serving-path allocation gate (src/serve/): a WARM QueryEngine executing
 // a mixed stream of all three query types across all three spread
-// estimators must never touch the heap — snapshot inference runs in the
-// engine's arena, diffusion in its epoch-stamped workspace, sketch
-// coverage in its stamped VisitedSet, and the response reuses its
-// vectors. Same kill-the-binary contract as BM_PlanSteadyStateAllocs;
+// estimators must never touch the heap. Inference ran once, when the
+// snapshot was built, so whole-graph top-k copies a prefix of the
+// snapshot's ranking; candidate-restricted top-k de-duplicates in the
+// workspace's stamped VisitedSet and partially sorts in the engine's
+// ranking buffer;
+// diffusion runs in the epoch-stamped workspace, sketch coverage in its
+// own stamped VisitedSet, and the response reuses its vectors. Same
+// kill-the-binary contract as BM_PlanSteadyStateAllocs;
 // tools/run_checks.sh runs both by name.
 void BM_ServeSteadyStateAllocs(benchmark::State& state) {
   Rng gen(6);
@@ -408,6 +412,14 @@ void BM_ServeSteadyStateAllocs(benchmark::State& state) {
   }
   {
     QueryRequest req;
+    req.type = QueryType::kTopK;
+    req.k = 4;
+    req.candidates = {12, 3, 40, 7, 66, 25, 51, 9};
+    req.estimator = SpreadEstimator::kRrSketch;
+    mix.push_back(std::move(req));
+  }
+  {
+    QueryRequest req;
     req.type = QueryType::kSpread;
     req.seeds = {0, 1, 2};
     req.estimator = SpreadEstimator::kMonteCarloIc;
@@ -437,7 +449,8 @@ void BM_ServeSteadyStateAllocs(benchmark::State& state) {
 
   QueryEngine engine;
   QueryResponse resp;
-  // Warm pass: arena growth, workspace init, response-vector high-water.
+  // Warm pass: workspace and stamp-set init, ranking-buffer and
+  // response-vector high-water.
   for (const QueryRequest& req : mix) {
     const Status s = engine.Execute(g, snapshot.get(), &sketch, req, resp);
     if (!s.ok()) {

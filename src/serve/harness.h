@@ -66,7 +66,8 @@ Result<LoadReport> RunClosedLoopLoad(Server& server, const RequestMix& mix,
 /// bench_serve and the privim_serve driver so published numbers and ad-hoc
 /// runs measure the same shapes:
 ///  - "seed-selection": top-k queries (k 10/25/50) with exact 1-hop
-///    spread scoring — the model-inference-heavy shape.
+///    spread scoring — the model-ranking shape (a prefix of the
+///    snapshot's ranking plus one exact spread).
 ///  - "spread-analytics": spread + marginal-gain queries under the MC
 ///    estimator — the diffusion-heavy shape.
 ///  - "mixed": both of the above interleaved.

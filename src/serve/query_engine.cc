@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "im/diffusion.h"
 
 namespace privim {
@@ -42,36 +43,38 @@ Status QueryEngine::ExecuteTopK(const Graph& graph,
                                 const RrSketch* sketch,
                                 const QueryRequest& request,
                                 QueryResponse& response) {
-  response.snapshot_id = snapshot.id();
-  // Inference through the snapshot's compiled plan: allocation-free once
-  // this engine's arena has reached the plan's high-water mark.
-  snapshot.logits_plan().Forward(snapshot.flat_params(),
-                                 snapshot.features(), arena_);
-  const std::span<const float> logits =
-      snapshot.logits_plan().Output(arena_);
-
-  rank_.clear();
+  std::span<const NodeId> top;
   if (request.candidates.empty()) {
-    for (uint32_t u = 0; u < graph.num_nodes(); ++u) {
-      rank_.emplace_back(logits[u], u);
-    }
+    top = snapshot.ranked().first(std::min(request.k, snapshot.num_nodes()));
   } else {
+    // k distinct seeds: a repeated candidate would be returned twice. The
+    // workspace's membership set is free here: the spread estimate that
+    // next uses it runs after this loop and resets it first.
+    VisitedSet& seen = workspaces_.Acquire(0).visited;
+    seen.Reset(graph.num_nodes());
+    rank_.clear();
     for (NodeId c : request.candidates) {
-      rank_.emplace_back(logits[c], c);
+      if (seen.Contains(c)) {
+        return Status::InvalidArgument(StrFormat(
+            "candidates: node %u appears more than once; top-k returns k "
+            "distinct seeds",
+            c));
+      }
+      seen.Insert(c);
+      rank_.push_back(c);
     }
+    const size_t k = std::min(request.k, rank_.size());
+    std::partial_sort(rank_.begin(), rank_.begin() + k, rank_.end(),
+                      [&snapshot](NodeId a, NodeId b) {
+                        return snapshot.RanksBefore(a, b);
+                      });
+    top = std::span<const NodeId>(rank_).first(k);
   }
-  const size_t k = std::min(request.k, rank_.size());
-  // Deterministic ranking: logit descending, node id ascending on ties —
-  // the response is a pure function of (snapshot, candidate set).
-  const auto better = [](const std::pair<float, uint32_t>& a,
-                         const std::pair<float, uint32_t>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return a.second < b.second;
-  };
-  std::partial_sort(rank_.begin(), rank_.begin() + k, rank_.end(), better);
-  for (size_t i = 0; i < k; ++i) {
-    response.seeds.push_back(rank_[i].second);
-    response.values.push_back(static_cast<double>(rank_[i].first));
+  response.snapshot_id = snapshot.id();
+  const std::span<const float> logits = snapshot.logits();
+  for (NodeId u : top) {
+    response.seeds.push_back(u);
+    response.values.push_back(static_cast<double>(logits[u]));
   }
   PRIVIM_ASSIGN_OR_RETURN(
       response.spread,

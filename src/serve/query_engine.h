@@ -2,7 +2,7 @@
 #define PRIVIM_SERVE_QUERY_ENGINE_H_
 
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -11,18 +11,23 @@
 #include "runtime/scratch.h"
 #include "serve/request.h"
 #include "serve/snapshot.h"
-#include "tensor/plan.h"
 
 namespace privim {
 
-/// One worker's query-execution core: the resident graph plus every piece
-/// of reusable state a query needs — the plan arena for inference, the
-/// epoch-stamped diffusion workspace, the sketch-coverage set, and the
-/// ranking/seed staging buffers. State persists across queries, which is
-/// the serving layer's performance contract: once every query type has run
-/// once (a warm engine), Execute performs ZERO heap allocations, gated in
-/// CI by bench_micro's ServeSteadyStateAllocs case exactly like the
-/// compiled-plan trainer path.
+/// One worker's query-execution core: every piece of reusable state a
+/// query needs — the epoch-stamped diffusion workspace (whose membership
+/// set also de-duplicates top-k candidates), the sketch-coverage set, and
+/// the ranking/seed staging buffers.
+/// State persists across queries, which is the serving layer's performance
+/// contract: once every query type has run once (a warm engine), Execute
+/// performs ZERO heap allocations, gated in CI by bench_micro's
+/// ServeSteadyStateAllocs case exactly like the compiled-plan trainer path.
+///
+/// The engine runs no inference. The snapshot ranked every node when it
+/// was built (serve/snapshot.h), so top-k over the whole graph copies the
+/// first k entries of that ranking (O(k)), and top-k over a candidate set
+/// gathers the candidates and partially sorts them under the snapshot's
+/// order (O(|C|) + O(|C| log k)).
 ///
 /// Thread-safety: none — one engine per worker slot, exclusive use
 /// (Server guarantees this; the slot protocol of ParallelForWithSlots is
@@ -93,9 +98,8 @@ class QueryEngine {
   /// workspace's node-indexed sets because it is indexed by RR-set id
   /// (different size => separate stamp domain keeps resets O(1)).
   VisitedSet sketch_covered_;
-  PlanArena arena_;
-  /// Ranking scratch: (logit, node), partially sorted for top-k.
-  std::vector<std::pair<float, uint32_t>> rank_;
+  /// Ranking scratch: the top-k candidates, partially sorted.
+  std::vector<NodeId> rank_;
   /// Seed-set staging for marginal-gain estimates (base set + candidate).
   std::vector<NodeId> seed_buf_;
 };

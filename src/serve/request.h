@@ -55,7 +55,9 @@ struct QueryRequest {
   /// kTopK: seed budget.
   size_t k = 50;
   /// kTopK: candidate restriction (empty = all nodes of the resident
-  /// graph). kMarginalGain: the candidates to score.
+  /// graph); a repeated node id fails the query with InvalidArgument,
+  /// since top-k returns k distinct seeds. kMarginalGain: the candidates
+  /// to score, repeats allowed (gains align with this list).
   std::vector<NodeId> candidates;
   /// kSpread / kMarginalGain: the base seed set.
   std::vector<NodeId> seeds;

@@ -1,11 +1,19 @@
 #include "serve/snapshot.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <numeric>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/string_util.h"
 #include "nn/features.h"
+#include "nn/graph_context.h"
 #include "nn/serialization.h"
+#include "tensor/matrix.h"
+#include "tensor/plan.h"
 
 namespace privim {
 
@@ -53,28 +61,48 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::FromModel(
         "snapshot features read in-degrees; call Graph::EnsureInCsr() on "
         "graphs built without the in-CSR before installing snapshots");
   }
+  std::vector<float> logits;
+  {
+    // Serving is inference-only, so the logits plan takes the optimized
+    // (fused + SIMD) compile: still a deterministic pure function of
+    // (model, graph), just not bit-identical to the tape
+    // (docs/performance.md tolerance contract). PRIVIM_FORCE_ISA=scalar
+    // restores the reference kernels. Context, features, flat parameters,
+    // plan and arena are all transient: only the logits outlive this
+    // scope.
+    const GraphContext ctx = BuildGraphContext(graph);
+    const Matrix features = BuildNodeFeatures(graph);
+    std::vector<float> flat_params(model->params().num_scalars());
+    model->params().FlattenParams(flat_params);
+    PlanBuilder pb;
+    const PlanValId x = pb.Input(ctx.num_nodes, model->config().in_dim);
+    const GnnPlan plan =
+        pb.Build(model->LowerLogits(pb, ctx, x), PlanOptions::Native());
+    PlanArena arena;
+    plan.Forward(flat_params, features, arena);
+    const std::span<const float> out = plan.Output(arena);
+    logits.assign(out.begin(), out.end());
+  }
+  // The ranking sorts under RanksBefore, which is an order only over
+  // finite logits; a NaN would make the sort's comparator invalid.
+  for (size_t u = 0; u < logits.size(); ++u) {
+    if (!std::isfinite(logits[u])) {
+      return Status::InvalidArgument(StrFormat(
+          "ModelSnapshot::FromModel: node %zu has a non-finite seed logit "
+          "(%g); the model's parameters are not finite or overflow float",
+          u, static_cast<double>(logits[u])));
+    }
+  }
   // make_shared needs a public constructor; the snapshot is immutable
   // after this function, so a plain new behind a shared_ptr is fine.
   auto snap = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
   snap->id_ = NextSnapshotId();
   snap->model_ = std::move(model);
-  snap->ctx_ = BuildGraphContext(graph);
-  snap->features_ = BuildNodeFeatures(graph);
-  snap->flat_params_.resize(snap->model_->params().num_scalars());
-  snap->model_->params().FlattenParams(snap->flat_params_);
-  // Rank by pre-sigmoid logits, mirroring RunMethod's inference: identical
-  // ordering to the probabilities but immune to float32 sigmoid
-  // saturation at the top of the ranking.
-  // Serving is inference-only, so the logits plan takes the optimized
-  // (fused + SIMD) compile: still a deterministic pure function of
-  // (snapshot, graph, request) — every worker runs the same kernels — just
-  // not bit-identical to the tape (docs/performance.md tolerance
-  // contract). PRIVIM_FORCE_ISA=scalar restores the reference kernels.
-  PlanBuilder pb;
-  const PlanValId x =
-      pb.Input(snap->ctx_.num_nodes, snap->model_->config().in_dim);
-  snap->logits_plan_ = pb.Build(snap->model_->LowerLogits(pb, snap->ctx_, x),
-                                PlanOptions::Native());
+  snap->logits_ = std::move(logits);
+  snap->ranked_.resize(snap->logits_.size());
+  std::iota(snap->ranked_.begin(), snap->ranked_.end(), NodeId{0});
+  std::sort(snap->ranked_.begin(), snap->ranked_.end(),
+            [&snap](NodeId a, NodeId b) { return snap->RanksBefore(a, b); });
   return std::shared_ptr<const ModelSnapshot>(std::move(snap));
 }
 

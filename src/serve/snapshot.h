@@ -10,31 +10,37 @@
 #include "common/result.h"
 #include "graph/graph.h"
 #include "nn/gnn.h"
-#include "nn/graph_context.h"
-#include "tensor/matrix.h"
-#include "tensor/plan.h"
 
 namespace privim {
 
 /// One immutable, servable version of the model: the loaded GnnModel plus
-/// everything inference over the resident graph derives from it — the
-/// message-passing GraphContext, the structural feature matrix, the flat
-/// parameter snapshot, and the compiled seed-logits plan (tensor/plan.h).
+/// the one thing serving derives from it over the resident graph — every
+/// node's pre-sigmoid seed logit and the nodes ranked by it.
+///
+/// Ranking is post-processing of the frozen model, so it runs ONCE, at
+/// build time: FromModel compiles the seed-logits plan (tensor/plan.h),
+/// executes one forward pass on a transient arena, keeps the logits, and
+/// sorts the node ids under the serving order (logit descending, node id
+/// ascending on ties). The plan, the graph context, the feature matrix and
+/// the arena are released before FromModel returns. A build therefore
+/// costs one forward pass plus an O(n log n) sort, paid by the producer
+/// before publication; a top-k query over the whole graph is then an O(k)
+/// prefix of ranked(), and a candidate-restricted one an O(|C|) gather
+/// plus an O(|C| log k) partial sort (serve/query_engine.h).
 ///
 /// Snapshots are the unit of hot swap. The Server publishes the current
 /// snapshot behind a shared_ptr (RCU style): workers take a reference per
 /// batch, queries in flight keep the old version alive after a swap, and
 /// the last reference releases it. Everything here is written once at
 /// build time and only read afterwards, so concurrent query execution
-/// needs no further synchronization; the one mutable thing a plan needs —
-/// the arena — lives per worker in the QueryEngine, never here.
+/// needs no further synchronization.
 ///
-/// A snapshot is compiled against ONE resident graph (the plan embeds the
-/// graph's edge structure); `num_nodes()` is validated by the Server at
+/// A snapshot is built against ONE resident graph (the logits are a
+/// function of its structure); `num_nodes()` is validated by the Server at
 /// swap time.
 ///
 /// Dynamic graphs: a snapshot may additionally OWN the graph it was
-/// compiled against (the graph-owning FromModel overload). That is the
+/// built against (the graph-owning FromModel overload). That is the
 /// unit the streaming pipeline publishes — graph and model swap together,
 /// atomically, through Server::SwapGraphAndSnapshot, and the retired
 /// graph stays alive exactly as long as in-flight queries still hold the
@@ -43,7 +49,9 @@ class ModelSnapshot {
  public:
   /// Builds a servable snapshot from a loaded model. Fails with
   /// FailedPrecondition when the model's input width does not match the
-  /// structural feature dim of `graph` (kNodeFeatureDim). The snapshot
+  /// structural feature dim of `graph` (kNodeFeatureDim), and with
+  /// InvalidArgument, naming the first such node, when a seed logit is not
+  /// finite (NaN or infinite parameters cannot be ranked). The snapshot
   /// borrows `graph` (owned_graph() stays null); the caller keeps it
   /// alive — the Server's original static-graph contract.
   static Result<std::shared_ptr<const ModelSnapshot>> FromModel(
@@ -65,18 +73,28 @@ class ModelSnapshot {
   /// attributable to exactly one snapshot.
   uint64_t id() const { return id_; }
 
-  /// Node count of the graph this snapshot was compiled against.
-  size_t num_nodes() const { return features_.rows(); }
+  /// Node count of the graph this snapshot was built against.
+  size_t num_nodes() const { return logits_.size(); }
 
   const GnnModel& model() const { return *model_; }
 
-  /// Compiled plan producing the [num_nodes, 1] pre-sigmoid seed logits.
-  /// Read-only and shared by every worker; execute with flat_params() /
-  /// features() and a per-worker arena.
-  const GnnPlan& logits_plan() const { return logits_plan_; }
+  /// Pre-sigmoid seed logit of every node, indexed by node id. Ranking by
+  /// logits gives the same order as the probabilities but is immune to
+  /// float32 sigmoid saturation at the top of the ranking.
+  std::span<const float> logits() const { return logits_; }
 
-  std::span<const float> flat_params() const { return flat_params_; }
-  const Matrix& features() const { return features_; }
+  /// Every node id, best first: logit descending, node id ascending on
+  /// ties. Top-k over the whole graph is the first k entries.
+  std::span<const NodeId> ranked() const { return ranked_; }
+
+  /// The serving order as a comparator: true iff node `a` ranks strictly
+  /// before node `b`. FromModel admits only finite logits, so this is a
+  /// strict total order and any sort under it — full or partial, over all
+  /// nodes or a candidate subset — is deterministic.
+  bool RanksBefore(NodeId a, NodeId b) const {
+    if (logits_[a] != logits_[b]) return logits_[a] > logits_[b];
+    return a < b;
+  }
 
   /// The graph this snapshot keeps alive, or null when it was built
   /// against a borrowed graph (the static-serving path).
@@ -88,10 +106,8 @@ class ModelSnapshot {
   uint64_t id_ = 0;
   std::shared_ptr<const Graph> graph_;
   std::unique_ptr<GnnModel> model_;
-  GraphContext ctx_;  // The plan borrows ctx_'s edge vectors.
-  Matrix features_;
-  std::vector<float> flat_params_;
-  GnnPlan logits_plan_;
+  std::vector<float> logits_;
+  std::vector<NodeId> ranked_;
 };
 
 }  // namespace privim

@@ -14,6 +14,7 @@
 // under test.
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -49,7 +50,7 @@ std::shared_ptr<const ModelSnapshot> MakeSnapshot(const Graph& g,
 }
 
 /// The request variants clients cycle through; a mix of estimators keeps
-/// both the inference and the diffusion caches hot across swaps.
+/// both the ranking and the diffusion scratch hot across swaps.
 std::vector<QueryRequest> Variants() {
   std::vector<QueryRequest> variants;
   for (uint64_t s = 0; s < 4; ++s) {
@@ -115,15 +116,33 @@ void TortureAt(size_t num_threads) {
       use_a = !use_a;
     }
   });
+  // Clients start once the swapper is running, and each keeps querying
+  // past its quota until a swap has completed since they started, so at
+  // least one swap overlaps the queries however a loaded scheduler orders
+  // the threads. The deadline only bounds a swapper that stalled; the
+  // check after the clients join reports it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (swaps.load(std::memory_order_relaxed) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
 
   constexpr size_t kClients = 4;
   constexpr size_t kQueriesPerClient = 50;
+  const size_t swaps_at_start = swaps.load();
+  const auto keep_querying = [&](size_t i) {
+    return i < kQueriesPerClient ||
+           (swaps.load(std::memory_order_relaxed) == swaps_at_start &&
+            std::chrono::steady_clock::now() < deadline);
+  };
+
   std::vector<std::string> failures(kClients);
   std::vector<std::thread> clients;
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       QueryResponse resp;
-      for (size_t i = 0; i < kQueriesPerClient; ++i) {
+      for (size_t i = 0; keep_querying(i); ++i) {
         const size_t v = (c + i) % variants.size();
         const Status s = server.Query(variants[v], resp);
         if (!s.ok()) {
@@ -149,6 +168,7 @@ void TortureAt(size_t num_threads) {
     });
   }
   for (std::thread& t : clients) t.join();
+  const size_t swaps_when_done = swaps.load();
   stop_swapping.store(true);
   swapper.join();
   server.Stop();
@@ -157,7 +177,8 @@ void TortureAt(size_t num_threads) {
     EXPECT_TRUE(failures[c].empty()) << "client " << c << ": "
                                      << failures[c];
   }
-  EXPECT_GT(swaps.load(), 0u);
+  EXPECT_GT(swaps_when_done, swaps_at_start)
+      << "no swap completed while the clients were querying";
 }
 
 TEST(HotSwapTortureTest, TwoWorkers) { TortureAt(2); }

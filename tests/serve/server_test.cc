@@ -1,7 +1,9 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -178,6 +180,47 @@ TEST_F(ServerTest, InvalidRequestsAreRejectedNotExecuted) {
   }
 }
 
+TEST_F(ServerTest, TopKRejectsRepeatedCandidates) {
+  ServeConfig cfg;
+  cfg.num_threads = 1;
+  Server server(graph_, cfg);
+  ASSERT_TRUE(server.SwapSnapshot(TestSnapshot(graph_, 1)).ok());
+  ASSERT_TRUE(server.Start().ok());
+  QueryRequest req;
+  req.type = QueryType::kTopK;
+  req.k = 3;
+  req.candidates = {4, 9, 13, 9};
+  QueryResponse resp;
+  const Status s = server.Query(req, resp);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("node 9"), std::string::npos) << s.message();
+  EXPECT_TRUE(resp.seeds.empty());
+  EXPECT_EQ(resp.snapshot_id, 0u);
+
+  // The same engine answers the de-duplicated request afterwards.
+  req.candidates = {4, 9, 13};
+  ASSERT_TRUE(server.Query(req, resp).ok());
+  EXPECT_EQ(resp.seeds.size(), 3u);
+  server.Stop();
+}
+
+TEST_F(ServerTest, MarginalGainAcceptsRepeatedCandidates) {
+  ServeConfig cfg;
+  cfg.num_threads = 1;
+  Server server(graph_, cfg);
+  ASSERT_TRUE(server.Start().ok());
+  QueryRequest req;
+  req.type = QueryType::kMarginalGain;
+  req.seeds = {0};
+  req.candidates = {5, 7, 5};
+  QueryResponse resp;
+  ASSERT_TRUE(server.Query(req, resp).ok());
+  // Gains align with the candidates, so a repeat is answered twice.
+  ASSERT_EQ(resp.values.size(), 3u);
+  EXPECT_EQ(resp.values[0], resp.values[2]);
+  server.Stop();
+}
+
 TEST_F(ServerTest, BackpressureRejectsWhenQueueFull) {
   ServeConfig cfg;
   cfg.num_threads = 1;
@@ -278,6 +321,43 @@ TEST_F(ServerTest, LoadSnapshotServesTheCheckpointedModel) {
   ASSERT_TRUE(server.Query(req, resp).ok());
   EXPECT_EQ(resp.snapshot_id, id.ValueOrDie());
   server.Stop();
+  std::remove(path.c_str());
+}
+
+TEST_F(ServerTest, SnapshotRejectsNonFiniteLogits) {
+  // A model whose parameters are NaN (a diverged training run) cannot be
+  // ranked, so the snapshot build refuses it and names a node.
+  Rng rng(22);
+  auto nan_model = std::make_unique<GnnModel>(SmallConfig(), rng);
+  std::vector<float> flat(nan_model->params().num_scalars(),
+                          std::numeric_limits<float>::quiet_NaN());
+  nan_model->params().LoadParams(flat);
+  const auto built = ModelSnapshot::FromModel(std::move(nan_model), graph_);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(built.status().message().find("node 0 has a non-finite seed "
+                                          "logit"),
+            std::string::npos)
+      << built.status().ToString();
+
+  // A checkpoint is outside input and LoadModel does not check its
+  // values: finite but huge parameters overflow in the forward pass, and
+  // the server keeps serving nothing rather than an unrankable snapshot.
+  GnnModel huge(SmallConfig(), rng);
+  std::fill(flat.begin(), flat.end(), 3e38f);
+  huge.params().LoadParams(flat);
+  const std::string path = TempPath("privim_serve_overflow.ckpt");
+  ASSERT_TRUE(SaveModel(huge, path).ok());
+  ServeConfig cfg;
+  cfg.num_threads = 1;
+  Server server(graph_, cfg);
+  const Result<uint64_t> id = server.LoadSnapshot(path);
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(id.status().message().find("non-finite seed logit"),
+            std::string::npos)
+      << id.status().ToString();
+  EXPECT_EQ(server.CurrentSnapshot(), nullptr);
   std::remove(path.c_str());
 }
 
