@@ -37,7 +37,6 @@
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "tensor/kernels.h"
-#include "tensor/ops.h"
 
 // ---- Counting allocator. Global operator new/delete replacements with
 // two independently armed instruments:
@@ -225,34 +224,9 @@ void BM_AccountantCalibration(benchmark::State& state) {
 }
 BENCHMARK(BM_AccountantCalibration);
 
-void BM_GnnForwardBackward(benchmark::State& state) {
-  Rng gen(4);
-  Graph g = std::move(ErdosRenyi(static_cast<size_t>(state.range(0)), 0.1,
-                                 false, gen))
-                .ValueOrDie();
-  GraphContext ctx = BuildGraphContext(g);
-  Matrix features = BuildNodeFeatures(g);
-  GnnConfig cfg;
-  cfg.type = GnnType::kGrat;
-  cfg.in_dim = kNodeFeatureDim;
-  Rng rng(5);
-  GnnModel model(cfg, rng);
-  ImLossConfig loss_cfg;
-  for (auto _ : state) {
-    Tensor probs = model.Forward(ctx, Tensor(features));
-    Tensor loss = ImPenaltyLoss(ctx, probs, loss_cfg);
-    model.params().ZeroGrads();
-    loss.Backward();
-    benchmark::DoNotOptimize(loss.value()(0, 0));
-  }
-}
-BENCHMARK(BM_GnnForwardBackward)->Arg(40)->Arg(80)->Arg(200);
-
-// ---- Compiled-plan cases (tensor/plan.h, docs/performance.md). Same
-// graph/model/seed setup as BM_GnnForwardBackward so the tape rows above
-// are the direct baseline; the plan produces bit-identical losses and
-// gradients (tests/nn/plan_equivalence_test.cc) while skipping all of the
-// tape's node/closure construction. ----
+// ---- Compiled-plan cases (tensor/plan.h, docs/performance.md): one
+// per-sample forward + loss + backward pass of a GRAT training plan, under
+// the scalar reference and the optimized compile. ----
 
 void BM_PlanForwardBackward(benchmark::State& state) {
   Rng gen(4);
@@ -267,8 +241,7 @@ void BM_PlanForwardBackward(benchmark::State& state) {
   Rng rng(5);
   GnnModel model(cfg, rng);
   ImLossConfig loss_cfg;
-  // Arg 1 selects the compiler passes: 0 = scalar reference (the
-  // tape-bit-identical baseline), 1 = optimized (elementwise fusion +
+  // Arg 1 selects the compiler passes: 0 = scalar reference, 1 = optimized (elementwise fusion +
   // best SIMD tier, PlanOptions::Native(); tolerance contract in
   // docs/performance.md). The label records which tier actually ran so
   // BENCH_plan_compile.json rows are comparable across hosts.
@@ -658,13 +631,9 @@ BENCHMARK(BM_ParallelBatchGradients)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Tape vs compiled-plan training iterations on identical seeds (Arg: 0 =
-// dynamic-tape reference, 1 = compiled plans). Both paths release
-// bit-identical losses, gradients, and parameters
-// (tests/core/trainer_plan_test.cc), so the ratio between the two rows is
-// pure execution-engine speedup — the headline number recorded in
-// BENCH_plan_compile.json.
-void BM_TrainIterationTapeVsPlan(benchmark::State& state) {
+// Full training iterations (4 iterations x batch 16, GRAT, serial) on the
+// default optimized plans.
+void BM_TrainIteration(benchmark::State& state) {
   Rng gen(8);
   Graph g = std::move(BarabasiAlbert(800, 5, gen)).ValueOrDie();
   FreqSamplingConfig scfg;
@@ -684,16 +653,13 @@ void BM_TrainIterationTapeVsPlan(benchmark::State& state) {
   tcfg.iterations = 4;
   tcfg.noise_kind = NoiseKind::kNone;
   tcfg.num_threads = 1;
-  tcfg.use_compiled_plan = state.range(0) != 0;
   Rng rng(11);
   for (auto _ : state) {
     benchmark::DoNotOptimize(TrainDpGnn(model, sampled.container, tcfg,
                                         rng));
   }
 }
-BENCHMARK(BM_TrainIterationTapeVsPlan)
-    ->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TrainIteration)->Unit(benchmark::kMillisecond);
 
 // Telemetry overhead on the training hot path: identical training loop with
 // the full instrument set attached (Arg(1)) vs disabled (Arg(0)). The
@@ -846,10 +812,13 @@ void BM_SegmentSoftmax(benchmark::State& state) {
     scores(e, 0) = static_cast<float>(rng.Uniform(-1, 1));
     group[e] = static_cast<uint32_t>(rng.UniformInt(groups));
   }
+  PlanBuilder pb;
+  const GnnPlan plan = pb.Build(
+      pb.SegmentSoftmax(pb.Input(edges, 1), group, groups));
+  PlanArena arena;
   for (auto _ : state) {
-    Tensor t(scores, true);
-    Tensor alpha = SegmentSoftmax(t, group, groups);
-    benchmark::DoNotOptimize(alpha.value()(0, 0));
+    plan.Forward({}, scores, arena);
+    benchmark::DoNotOptimize(plan.Output(arena)[0]);
   }
 }
 BENCHMARK(BM_SegmentSoftmax)->Arg(1000)->Arg(10000);

@@ -3,7 +3,6 @@
 
 #include "nn/graph_context.h"
 #include "tensor/plan.h"
-#include "tensor/tensor.h"
 
 namespace privim {
 
@@ -17,12 +16,14 @@ struct ImLossConfig {
   float lambda = 0.25f;
 };
 
-/// Erdős probabilistic-penalty loss for influence maximization (Eq. 5):
+/// Records the Erdős probabilistic-penalty loss for influence maximization
+/// (Eq. 5) into a PlanBuilder:
 ///
 ///   L = mean_u prod_{i=1..j} (1 - p_hat_i(u))  +  lambda * mean_u x_u,
 ///
-/// where x = `seed_probs` (the GNN's per-node seed probabilities, [n,1])
-/// and p_hat_i is the message-passing upper bound of the i-th step IC
+/// where x = `seed_probs` (the GNN's per-node seed probabilities, a
+/// [ctx.num_nodes, 1] value id — typically the Sigmoid of
+/// GnnModel::LowerLogits) and p_hat_i is the message-passing upper bound of the i-th step IC
 /// influence probability (Theorem 2):
 ///   p_hat_i(u) = phi( sum_{v in N(u)} w_vu h_v^{(i-1)} ),  h^{(0)} = x,
 /// with phi(z) = 1 - exp(-max(z,0)) — a smooth surrogate that stays an
@@ -33,15 +34,8 @@ struct ImLossConfig {
 /// of the subgraph size, so one clip bound C works across stage-1 (size n)
 /// and stage-2 (size n/s) subgraphs.
 ///
-/// Returns a [1,1] scalar tensor wired into `seed_probs`'s tape.
-Tensor ImPenaltyLoss(const GraphContext& ctx, const Tensor& seed_probs,
-                     const ImLossConfig& config);
-
-/// Records the same computation into a PlanBuilder: `seed_probs` is a
-/// [ctx.num_nodes, 1] value id (typically the Sigmoid of
-/// GnnModel::LowerLogits); returns the [1,1] loss value id. Used by
-/// core/plan_cache.cc to compile full training plans; results are
-/// bit-identical to ImPenaltyLoss on the tape.
+/// Returns the [1,1] loss value id. Used by core/plan_cache.cc to compile
+/// full training plans.
 PlanValId LowerImPenaltyLoss(PlanBuilder& pb, const GraphContext& ctx,
                              PlanValId seed_probs,
                              const ImLossConfig& config);

@@ -16,12 +16,10 @@ GnnPlan CompileTrainingPlan(const GnnModel& model, const GraphContext& ctx,
 SubgraphPlanCache::SubgraphPlanCache(const GnnModel& model,
                                      const SubgraphContainer& container,
                                      const ImLossConfig& loss,
-                                     bool compile_plans,
                                      const PlanOptions& plan_opts)
     : model_(model),
       container_(container),
       loss_(loss),
-      compile_plans_(compile_plans),
       plan_opts_(plan_opts),
       entries_(container.size()) {}
 
@@ -31,14 +29,7 @@ const CompiledSubgraph& SubgraphPlanCache::Get(size_t idx) {
     auto e = std::make_unique<CompiledSubgraph>();
     e->ctx = BuildGraphContext(container_[idx].local);
     e->features = BuildNodeFeatures(container_[idx].local);
-    e->tape_features = Tensor(e->features);
-    // Materialize the constant leaf's grad buffer now: replica threads
-    // share this tensor, and Backward()'s lazy EnsureGrad on a shared node
-    // would otherwise race.
-    e->tape_features.ZeroGrad();
-    if (compile_plans_) {
-      e->train_plan = CompileTrainingPlan(model_, e->ctx, loss_, plan_opts_);
-    }
+    e->train_plan = CompileTrainingPlan(model_, e->ctx, loss_, plan_opts_);
     entries_[idx] = std::move(e);
   }
   return *entries_[idx];

@@ -10,31 +10,24 @@
 #include "sampling/container.h"
 #include "tensor/matrix.h"
 #include "tensor/plan.h"
-#include "tensor/tensor.h"
 
 namespace privim {
 
 /// Everything the trainer derives from one subgraph sample, built once and
 /// reused across iterations: the message-passing context, the structural
-/// node features, a shared constant tape leaf for the reference path (its
-/// grad buffer is pre-touched so concurrent Backward() calls never race on
-/// the lazy allocation), and — when plan execution is on — the compiled
-/// training plan. The plan borrows `ctx`'s edge vectors, so the struct
-/// lives behind a stable pointer and `ctx` must not be reassigned after
-/// compilation.
+/// node features, and the compiled training plan. The plan borrows `ctx`'s
+/// edge vectors, so the struct lives behind a stable pointer and `ctx` must
+/// not be reassigned after compilation.
 struct CompiledSubgraph {
   GraphContext ctx;
   Matrix features;
-  Tensor tape_features;
   GnnPlan train_plan;
 };
 
 /// Compiles the full training program for one subgraph — model forward,
 /// sigmoid head, and the Eq. 5 penalty loss — into a single plan whose
-/// [1,1] output is the loss. With the default PlanOptions::Reference(),
-/// Forward + OutputScalar + Backward on the result is bit-identical to
-/// Forward + ImPenaltyLoss + Backward on the tape (same kernels, same
-/// traversal order; see tensor/plan.h). Optimized options
+/// [1,1] output is the loss. The default PlanOptions::Reference() runs the
+/// scalar reference kernels (tensor/plan.h). Optimized options
 /// (PlanOptions::Native()) enable elementwise fusion and SIMD kernels —
 /// same schedule, tolerance-pinned numerics (docs/performance.md).
 GnnPlan CompileTrainingPlan(const GnnModel& model, const GraphContext& ctx,
@@ -49,13 +42,12 @@ GnnPlan CompileTrainingPlan(const GnnModel& model, const GraphContext& ctx,
 /// immutable afterwards and safe to read concurrently.
 class SubgraphPlanCache {
  public:
-  /// Borrows `model` and `container`; both must outlive the cache. Plans
-  /// are only compiled when `compile_plans` is set (the tape path skips
-  /// the compile cost); `plan_opts` selects the compiler passes for every
-  /// compiled plan (TrainConfig::plan_optimize picks Native or Reference).
+  /// Borrows `model` and `container`; both must outlive the cache.
+  /// `plan_opts` selects the compiler passes for every compiled plan
+  /// (TrainConfig::plan_optimize picks Native or Reference).
   SubgraphPlanCache(const GnnModel& model,
                     const SubgraphContainer& container,
-                    const ImLossConfig& loss, bool compile_plans,
+                    const ImLossConfig& loss,
                     const PlanOptions& plan_opts = PlanOptions());
 
   size_t size() const { return entries_.size(); }
@@ -67,7 +59,6 @@ class SubgraphPlanCache {
   const GnnModel& model_;
   const SubgraphContainer& container_;
   ImLossConfig loss_;
-  bool compile_plans_;
   PlanOptions plan_opts_;
   std::vector<std::unique_ptr<CompiledSubgraph>> entries_;
 };

@@ -18,7 +18,6 @@
 #include "im/diffusion.h"
 #include "im/seed_selection.h"
 #include "nn/features.h"
-#include "nn/graph_context.h"
 
 namespace privim {
 
@@ -774,16 +773,16 @@ Result<PrivImRunResult> MethodExecution::Finish(
   GnnModel& model = *model_ptr;
 
   // ---- Inference: score the evaluation graph, select top-k seeds. ----
-  GraphContext eval_ctx = BuildGraphContext(eval_graph);
-  Tensor eval_x(BuildNodeFeatures(eval_graph));
   // Rank by pre-sigmoid logits: identical ordering to the probabilities,
   // but immune to float32 sigmoid saturation flattening the top of the
-  // ranking on graphs where most scores push toward 1.
-  Tensor logits = model.ForwardLogits(eval_ctx, eval_x);
-  std::vector<double> scores(eval_graph.num_nodes());
-  for (size_t u = 0; u < eval_graph.num_nodes(); ++u) {
-    scores[u] = logits.value()(u, 0);
-  }
+  // ranking on graphs where most scores push toward 1. The reference plan
+  // keeps the scores independent of the host's SIMD tier; a non-finite
+  // logit (e.g. NaN parameters from a resumed checkpoint) fails here
+  // rather than feeding TopKByScore's comparator an unordered score.
+  PRIVIM_ASSIGN_OR_RETURN(
+      const std::vector<float> logits,
+      InferSeedLogits(model, eval_graph, PlanOptions::Reference()));
+  const std::vector<double> scores(logits.begin(), logits.end());
   std::vector<NodeId> candidates(eval_graph.num_nodes());
   for (size_t u = 0; u < candidates.size(); ++u) {
     candidates[u] = static_cast<NodeId>(u);

@@ -52,7 +52,6 @@ Result<TrainStats> TrainDpGnn(GnnModel& model,
   // build cost.
   const size_t m = container.size();
   SubgraphPlanCache cache(model, container, config.loss,
-                          config.use_compiled_plan,
                           config.plan_optimize ? PlanOptions::Native()
                                                : PlanOptions::Reference());
 
@@ -65,39 +64,16 @@ Result<TrainStats> TrainDpGnn(GnnModel& model,
     optimizer = std::make_unique<SgdOptimizer>(config.learning_rate);
   }
 
-  // Parallel setup. On the plan path the compiled plans are shared,
-  // stateless programs: parameters are bound per iteration as a read-only
-  // flat snapshot and every worker slot owns a PlanArena, so no model
-  // replicas are needed at any thread count. On the tape path, per-sample
-  // gradients are computed on model replicas (one per concurrent task)
-  // because forward/backward accumulates into the owning ParamStore.
-  // Either way the gradient of a subgraph is a deterministic function of
-  // (parameters, subgraph) alone — no RNG — so which worker computes it
-  // cannot change a single bit. The serial tape path (threads == 1) runs
-  // on the main model directly.
+  // Parallel setup. The compiled plans are shared, stateless programs:
+  // every worker reads the model's flat parameter vector (nothing writes it
+  // until the fan-out has joined) and owns a PlanArena. The gradient of a
+  // subgraph is a deterministic function of (parameters, subgraph) alone —
+  // no RNG — so which worker computes it cannot change a single bit.
   const size_t threads = std::max<size_t>(
       1, std::min(ResolveNumThreads(config.num_threads), config.batch_size));
   ThreadPool* pool = SharedPool(threads);
-  std::vector<std::unique_ptr<GnnModel>> replicas;
-  std::vector<float> param_snapshot;
-  std::vector<PlanArena> arenas;
-  if (config.use_compiled_plan) {
-    arenas.resize(threads);
-    param_snapshot.resize(dim);
-  } else if (pool != nullptr) {
-    replicas.reserve(threads);
-    for (size_t r = 0; r < threads; ++r) {
-      // Init randomness is discarded by LoadParams below; a fixed local
-      // seed keeps the caller's stream untouched.
-      Rng replica_rng(0x5eedu + r);
-      replicas.push_back(
-          std::make_unique<GnnModel>(model.config(), replica_rng));
-      if (replicas.back()->params().num_scalars() != dim) {
-        return Status::Internal("replica parameter layout mismatch");
-      }
-    }
-    param_snapshot.resize(dim);
-  }
+  std::vector<PlanArena> arenas(threads);
+  const std::span<const float> params = model.params().values();
 
   std::vector<SampleSlot> samples(config.batch_size);
   for (SampleSlot& s : samples) s.grad.resize(dim);
@@ -185,32 +161,17 @@ Result<TrainStats> TrainDpGnn(GnnModel& model,
     }
   };
 
-  // One per-sample pass (Lines 5-6 of Algorithm 2) on the reference tape,
-  // against `sample_model`, writing into `slot`. Pure function of
-  // (model params, subgraph); the constant feature leaf is shared, never
-  // written.
-  auto compute_sample_tape = [&](GnnModel& sample_model,
-                                 const CompiledSubgraph& cs,
-                                 SampleSlot& slot) {
-    Tensor probs = sample_model.Forward(cs.ctx, cs.tape_features);
-    Tensor loss = ImPenaltyLoss(cs.ctx, probs, config.loss);
-    slot.loss = loss.value()(0, 0);
-    sample_model.params().ZeroGrads();
-    loss.Backward();
-    sample_model.params().FlattenGrads(slot.grad);
-    clip_sample(slot);
-  };
-
-  // The same pass on the compiled plan: zero heap allocations once the
-  // slot's arena is warm. Backward zeroes and fills `slot.grad` directly
-  // in flat ParamStore order, replacing ZeroGrads + FlattenGrads.
-  auto compute_sample_plan = [&](const CompiledSubgraph& cs, size_t slot_id,
-                                 SampleSlot& slot) {
+  // One per-sample pass (Lines 5-6 of Algorithm 2) on the compiled plan,
+  // writing into `slot`: zero heap allocations once the slot's arena is
+  // warm. Backward zeroes and fills `slot.grad` directly in flat
+  // ParamStore order.
+  auto compute_sample = [&](const CompiledSubgraph& cs, size_t slot_id,
+                            SampleSlot& slot) {
     const GnnPlan& plan = cs.train_plan;
     PlanArena& arena = arenas[slot_id];
-    plan.Forward(param_snapshot, cs.features, arena);
+    plan.Forward(params, cs.features, arena);
     slot.loss = plan.OutputScalar(arena);
-    plan.Backward(param_snapshot, cs.features, arena, slot.grad);
+    plan.Backward(params, cs.features, arena, slot.grad);
     clip_sample(slot);
   };
 
@@ -231,34 +192,16 @@ Result<TrainStats> TrainDpGnn(GnnModel& model,
       batch_entries[b] = &cache.Get(batch_indices[b]);
     }
 
-    if (config.use_compiled_plan) {
-      model.params().FlattenParams(param_snapshot);
-      if (pool == nullptr) {
-        for (size_t b = 0; b < config.batch_size; ++b) {
-          compute_sample_plan(*batch_entries[b], 0, samples[b]);
-        }
-      } else {
-        ParallelForWithSlots(
-            pool, 0, config.batch_size, /*grain=*/1, arenas.size(),
-            [&](size_t b, size_t slot) {
-              compute_sample_plan(*batch_entries[b], slot, samples[b]);
-            });
-      }
-    } else if (pool == nullptr) {
+    if (pool == nullptr) {
       for (size_t b = 0; b < config.batch_size; ++b) {
-        compute_sample_tape(model, *batch_entries[b], samples[b]);
+        compute_sample(*batch_entries[b], 0, samples[b]);
       }
     } else {
-      model.params().FlattenParams(param_snapshot);
-      for (auto& replica : replicas) {
-        replica->params().LoadParams(param_snapshot);
-      }
-      ParallelForWithSlots(
-          pool, 0, config.batch_size, /*grain=*/1, replicas.size(),
-          [&](size_t b, size_t slot) {
-            compute_sample_tape(*replicas[slot], *batch_entries[b],
-                                samples[b]);
-          });
+      ParallelForWithSlots(pool, 0, config.batch_size, /*grain=*/1,
+                           arenas.size(), [&](size_t b, size_t slot) {
+                             compute_sample(*batch_entries[b], slot,
+                                            samples[b]);
+                           });
     }
 
     // Reduce in index order: float summation order is fixed, so the batch

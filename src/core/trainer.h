@@ -48,27 +48,22 @@ struct TrainConfig {
   /// while averaging away much of the per-iteration noise.
   bool tail_averaging = true;
   /// Worker parallelism for the per-subgraph gradient fan-out (0 = use the
-  /// global runtime default). Per-sample gradients are computed on model
-  /// replicas and reduced into the batch sum in index order before the
-  /// single noise draw, so results are bit-identical for every thread
-  /// count and the DP accounting is untouched (see docs/runtime.md).
+  /// global runtime default). Per-sample gradients are computed on compiled
+  /// execution plans (tensor/plan.h, core/plan_cache.h): one read-only plan
+  /// per subgraph shared by every worker, parameters bound per iteration,
+  /// one arena per worker slot, allocation-free once warm. They are reduced
+  /// into the batch sum in index order before the single noise draw, so
+  /// results are bit-identical for every thread count and the DP
+  /// accounting is untouched (see docs/runtime.md).
   size_t num_threads = 0;
-  /// Execute per-sample passes on compiled execution plans (tensor/plan.h,
-  /// core/plan_cache.h) instead of rebuilding the dynamic autograd tape
-  /// each pass. Plans are compiled lazily per subgraph, shared across
-  /// worker threads (parameters bound per iteration, buffers per worker
-  /// slot), and allocation-free once warm. Results are bit-identical to
-  /// the tape for every thread count — the tape stays as the
-  /// reference/debug path (set to false to use it).
-  bool use_compiled_plan = true;
   /// Compile plans with the optimizing passes (elementwise fusion + SIMD
   /// kernels, PlanOptions::Native()) instead of the scalar reference.
   /// Optimized plans remain deterministic and thread-count invariant, but
-  /// their gradients match the tape only within the tolerance contract of
-  /// docs/performance.md — set to false when bit-identity with the tape is
-  /// required (the plan differential suites do). PRIVIM_FORCE_ISA=scalar
-  /// downgrades just the SIMD half at runtime. Ignored when
-  /// use_compiled_plan is false.
+  /// their gradients match the reference plans only within the tolerance
+  /// contract of docs/performance.md — set to false when bit-identity with
+  /// the reference is required (tests/core/trainer_simd_diff_test.cc and
+  /// the pipeline goldens do). PRIVIM_FORCE_ISA=scalar downgrades just the
+  /// SIMD half at runtime.
   bool plan_optimize = true;
   ImLossConfig loss;
   /// Optional run telemetry. When set, the loop appends one

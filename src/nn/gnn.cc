@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 
 #include "common/string_util.h"
-#include "tensor/ops.h"
+#include "nn/features.h"
 
 namespace privim {
 
@@ -74,34 +75,17 @@ GnnModel::GnnModel(const GnnConfig& config, Rng& rng) : config_(config) {
   head_bias_ = params_.NewConstant("head.b", 1, 1, 0.0f);
 }
 
-Tensor GnnModel::Forward(const GraphContext& ctx, const Tensor& x) const {
-  return SigmoidOp(ForwardLogits(ctx, x));
-}
-
-Tensor GnnModel::ForwardLogits(const GraphContext& ctx,
-                               const Tensor& x) const {
-  PRIVIM_CHECK_EQ(x.rows(), ctx.num_nodes);
-  PRIVIM_CHECK_EQ(x.cols(), config_.in_dim);
-  Tensor h = x;
-  for (const auto& layer : layers_) {
-    // LeakyReLU between layers: the structural features are all
-    // non-negative, so plain ReLU can kill an entire signal path at
-    // unlucky initializations and collapse the seed scores to a constant.
-    h = LeakyRelu(layer->Forward(ctx, h), 0.1f);
-  }
-  return AddRowBroadcast(MatMul(h, head_weight_), head_bias_);
-}
-
 PlanValId GnnModel::LowerLogits(PlanBuilder& pb, const GraphContext& ctx,
                                 PlanValId x) const {
   PlanValId h = x;
   for (const auto& layer : layers_) {
-    h = pb.LeakyRelu(layer->Lower(pb, params_, ctx, h), 0.1f);
+    // LeakyReLU between layers: the structural features are all
+    // non-negative, so plain ReLU can kill an entire signal path at
+    // unlucky initializations and collapse the seed scores to a constant.
+    h = pb.LeakyRelu(layer->Lower(pb, ctx, h), 0.1f);
   }
-  const PlanValId hw = pb.Param(params_.OffsetOf(head_weight_),
-                                head_weight_.rows(), head_weight_.cols());
-  const PlanValId hb = pb.Param(params_.OffsetOf(head_bias_), 1, 1);
-  return pb.AddRowBroadcast(pb.MatMul(h, hw), hb);
+  return pb.AddRowBroadcast(pb.MatMul(h, head_weight_.Bind(pb)),
+                            head_bias_.Bind(pb));
 }
 
 GnnPlan GnnModel::Compile(const GraphContext& ctx,
@@ -109,6 +93,31 @@ GnnPlan GnnModel::Compile(const GraphContext& ctx,
   PlanBuilder pb;
   const PlanValId x = pb.Input(ctx.num_nodes, config_.in_dim);
   return pb.Build(pb.Sigmoid(LowerLogits(pb, ctx, x)), opts);
+}
+
+Result<std::vector<float>> InferSeedLogits(const GnnModel& model,
+                                           const Graph& graph,
+                                           const PlanOptions& opts) {
+  // Context, features, plan and arena are transient; only the logits
+  // outlive this call. A forward-only arena never grows past the plan's
+  // forward prefix (no gradient buffers).
+  const GraphContext ctx = BuildGraphContext(graph);
+  const Matrix features = BuildNodeFeatures(graph);
+  PlanBuilder pb;
+  const PlanValId x = pb.Input(ctx.num_nodes, model.config().in_dim);
+  const GnnPlan plan = pb.Build(model.LowerLogits(pb, ctx, x), opts);
+  PlanArena arena;
+  plan.Forward(model.params().values(), features, arena);
+  const std::span<const float> out = plan.Output(arena);
+  for (size_t u = 0; u < out.size(); ++u) {
+    if (!std::isfinite(out[u])) {
+      return Status::InvalidArgument(StrFormat(
+          "node %zu has a non-finite seed logit (%g); the model's "
+          "parameters are not finite or overflow float",
+          u, static_cast<double>(out[u])));
+    }
+  }
+  return std::vector<float>(out.begin(), out.end());
 }
 
 }  // namespace privim

@@ -7,11 +7,11 @@
 
 #include "common/result.h"
 #include "common/rng.h"
+#include "graph/graph.h"
 #include "nn/graph_context.h"
 #include "nn/layers.h"
 #include "nn/param_store.h"
 #include "tensor/plan.h"
-#include "tensor/tensor.h"
 
 namespace privim {
 
@@ -49,31 +49,25 @@ class GnnModel {
   GnnModel(const GnnModel&) = delete;
   GnnModel& operator=(const GnnModel&) = delete;
 
-  /// Forward pass: features `x` is [ctx.num_nodes, in_dim]; returns a
-  /// [num_nodes, 1] tensor of seed probabilities in (0, 1).
-  Tensor Forward(const GraphContext& ctx, const Tensor& x) const;
-
-  /// Pre-sigmoid seed scores. Monotone in Forward()'s probabilities but
-  /// free of float32 sigmoid saturation, so top-k ranking stays sharp even
-  /// when many probabilities round to 1.0 (used at inference).
-  Tensor ForwardLogits(const GraphContext& ctx, const Tensor& x) const;
-
-  /// Compiles the Forward() computation against `ctx` into a reusable
-  /// plan whose output is the [num_nodes, 1] seed-probability matrix.
-  /// Execute with the flat parameter vector (params().FlattenParams) and
-  /// the feature matrix. With the default PlanOptions::Reference()
-  /// results are bit-identical to Forward(); optimized options
-  /// (PlanOptions::Native()) trade bit-identity for fused/SIMD speed under
-  /// the tolerance contract of docs/performance.md. The plan borrows
-  /// `ctx`'s edge vectors and must not outlive them. Training composes
-  /// LowerLogits with the loss lowering instead (see core/plan_cache.h).
+  /// Compiles the model against `ctx` into a reusable plan whose output
+  /// is the [num_nodes, 1] matrix of seed probabilities in (0, 1). Execute
+  /// with the flat parameter vector (params().values()) and the
+  /// [ctx.num_nodes, in_dim] feature matrix. The default
+  /// PlanOptions::Reference() is the reference implementation; optimized
+  /// options (PlanOptions::Native()) trade bit-identity for fused/SIMD
+  /// speed under the tolerance contract of docs/performance.md. The plan
+  /// borrows `ctx`'s edge vectors and must not outlive them. Training
+  /// composes LowerLogits with the loss lowering instead (see
+  /// core/plan_cache.h).
   GnnPlan Compile(const GraphContext& ctx,
                   const PlanOptions& opts = PlanOptions()) const;
 
-  /// Records the ForwardLogits computation into `pb` (input `x` must be
+  /// Records the pre-sigmoid seed scores into `pb` (input `x` must be
   /// [ctx.num_nodes, in_dim]) and returns the [num_nodes, 1] logits value
-  /// id. Building block for Compile() and for training plans that append
-  /// the loss lowering.
+  /// id. Logits are monotone in the probabilities but free of float32
+  /// sigmoid saturation, so top-k ranking stays sharp even when many
+  /// probabilities round to 1.0. Building block for Compile(), for
+  /// InferSeedLogits and for training plans that append the loss lowering.
   PlanValId LowerLogits(PlanBuilder& pb, const GraphContext& ctx,
                         PlanValId x) const;
 
@@ -85,9 +79,21 @@ class GnnModel {
   GnnConfig config_;
   ParamStore params_;
   std::vector<std::unique_ptr<GnnLayer>> layers_;
-  Tensor head_weight_;  // [hidden_dim, 1]
-  Tensor head_bias_;    // [1, 1]
+  ParamEntry head_weight_;  // [hidden_dim, 1]
+  ParamEntry head_bias_;    // [1, 1]
 };
+
+/// Seed logits of every node of `graph`: builds the message-passing
+/// context and the structural features (nn/features.h; `graph` must carry
+/// its in-CSR and `model` must take kNodeFeatureDim inputs), then runs one
+/// forward-only pass of the LowerLogits plan compiled with `opts` on a
+/// transient arena. Fails with InvalidArgument, naming the node, when a
+/// logit is not finite — NaN or overflowing parameters cannot be ranked.
+/// Evaluation calls it with PlanOptions::Reference(), serving snapshots
+/// with PlanOptions::Native().
+Result<std::vector<float>> InferSeedLogits(const GnnModel& model,
+                                           const Graph& graph,
+                                           const PlanOptions& opts);
 
 }  // namespace privim
 

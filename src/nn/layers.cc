@@ -1,7 +1,5 @@
 #include "nn/layers.h"
 
-#include "tensor/ops.h"
-
 namespace privim {
 
 GcnConv::GcnConv(size_t in_dim, size_t out_dim, ParamStore& store, Rng& rng,
@@ -10,20 +8,12 @@ GcnConv::GcnConv(size_t in_dim, size_t out_dim, ParamStore& store, Rng& rng,
       bias_(store.NewConstant(name + ".b", 1, out_dim, 0.0f)),
       name_(name) {}
 
-Tensor GcnConv::Forward(const GraphContext& ctx, const Tensor& x) const {
-  Tensor agg =
-      ScatterAddRows(x, ctx.src, ctx.dst, ctx.gcn_coef, ctx.num_nodes);
-  return AddRowBroadcast(MatMul(agg, weight_), bias_);
-}
-
-PlanValId GcnConv::Lower(PlanBuilder& pb, const ParamStore& store,
-                         const GraphContext& ctx, PlanValId x) const {
+PlanValId GcnConv::Lower(PlanBuilder& pb, const GraphContext& ctx,
+                         PlanValId x) const {
   const PlanValId agg =
       pb.ScatterAddRows(x, ctx.src, ctx.dst, ctx.gcn_coef, ctx.num_nodes);
-  const PlanValId w =
-      pb.Param(store.OffsetOf(weight_), weight_.rows(), weight_.cols());
-  const PlanValId b = pb.Param(store.OffsetOf(bias_), 1, bias_.cols());
-  return pb.AddRowBroadcast(pb.MatMul(agg, w), b);
+  return pb.AddRowBroadcast(pb.MatMul(agg, weight_.Bind(pb)),
+                            bias_.Bind(pb));
 }
 
 SageConv::SageConv(size_t in_dim, size_t out_dim, ParamStore& store,
@@ -32,22 +22,13 @@ SageConv::SageConv(size_t in_dim, size_t out_dim, ParamStore& store,
       bias_(store.NewConstant(name + ".b", 1, out_dim, 0.0f)),
       name_(name) {}
 
-Tensor SageConv::Forward(const GraphContext& ctx, const Tensor& x) const {
-  Tensor mean =
-      ScatterAddRows(x, ctx.src, ctx.dst, ctx.mean_coef, ctx.num_nodes);
-  Tensor cat = ConcatCols(x, mean);
-  return AddRowBroadcast(MatMul(cat, weight_), bias_);
-}
-
-PlanValId SageConv::Lower(PlanBuilder& pb, const ParamStore& store,
-                          const GraphContext& ctx, PlanValId x) const {
+PlanValId SageConv::Lower(PlanBuilder& pb, const GraphContext& ctx,
+                          PlanValId x) const {
   const PlanValId mean =
       pb.ScatterAddRows(x, ctx.src, ctx.dst, ctx.mean_coef, ctx.num_nodes);
   const PlanValId cat = pb.ConcatCols(x, mean);
-  const PlanValId w =
-      pb.Param(store.OffsetOf(weight_), weight_.rows(), weight_.cols());
-  const PlanValId b = pb.Param(store.OffsetOf(bias_), 1, bias_.cols());
-  return pb.AddRowBroadcast(pb.MatMul(cat, w), b);
+  return pb.AddRowBroadcast(pb.MatMul(cat, weight_.Bind(pb)),
+                            bias_.Bind(pb));
 }
 
 GinConv::GinConv(size_t in_dim, size_t out_dim, ParamStore& store, Rng& rng,
@@ -59,32 +40,16 @@ GinConv::GinConv(size_t in_dim, size_t out_dim, ParamStore& store, Rng& rng,
       omega_(store.NewConstant(name + ".omega", 1, 1, 0.0f)),
       name_(name) {}
 
-Tensor GinConv::Forward(const GraphContext& ctx, const Tensor& x) const {
-  Tensor neighbor_sum =
-      ScatterAddRows(x, ctx.src, ctx.dst, ctx.sum_coef, ctx.num_nodes);
-  // (1 + omega) * h_v: omega is a differentiable scalar.
-  Tensor self = Add(x, ScaleByScalar(x, omega_));
-  Tensor combined = Add(neighbor_sum, self);
-  Tensor hidden = Relu(AddRowBroadcast(MatMul(combined, w1_), b1_));
-  return AddRowBroadcast(MatMul(hidden, w2_), b2_);
-}
-
-PlanValId GinConv::Lower(PlanBuilder& pb, const ParamStore& store,
-                         const GraphContext& ctx, PlanValId x) const {
+PlanValId GinConv::Lower(PlanBuilder& pb, const GraphContext& ctx,
+                         PlanValId x) const {
   const PlanValId neighbor_sum =
       pb.ScatterAddRows(x, ctx.src, ctx.dst, ctx.sum_coef, ctx.num_nodes);
-  const PlanValId omega = pb.Param(store.OffsetOf(omega_), 1, 1);
-  const PlanValId self = pb.Add(x, pb.ScaleByScalar(x, omega));
+  // (1 + omega) * h_v: omega is a differentiable scalar.
+  const PlanValId self = pb.Add(x, pb.ScaleByScalar(x, omega_.Bind(pb)));
   const PlanValId combined = pb.Add(neighbor_sum, self);
-  const PlanValId w1 =
-      pb.Param(store.OffsetOf(w1_), w1_.rows(), w1_.cols());
-  const PlanValId b1 = pb.Param(store.OffsetOf(b1_), 1, b1_.cols());
-  const PlanValId hidden =
-      pb.Relu(pb.AddRowBroadcast(pb.MatMul(combined, w1), b1));
-  const PlanValId w2 =
-      pb.Param(store.OffsetOf(w2_), w2_.rows(), w2_.cols());
-  const PlanValId b2 = pb.Param(store.OffsetOf(b2_), 1, b2_.cols());
-  return pb.AddRowBroadcast(pb.MatMul(hidden, w2), b2);
+  const PlanValId hidden = pb.Relu(
+      pb.AddRowBroadcast(pb.MatMul(combined, w1_.Bind(pb)), b1_.Bind(pb)));
+  return pb.AddRowBroadcast(pb.MatMul(hidden, w2_.Bind(pb)), b2_.Bind(pb));
 }
 
 AttentionConv::AttentionConv(size_t in_dim, size_t out_dim,
@@ -96,33 +61,13 @@ AttentionConv::AttentionConv(size_t in_dim, size_t out_dim,
       norm_(norm),
       name_(name) {}
 
-Tensor AttentionConv::Forward(const GraphContext& ctx,
-                              const Tensor& x) const {
-  Tensor xw = MatMul(x, weight_);  // [n, out_dim]
+PlanValId AttentionConv::Lower(PlanBuilder& pb, const GraphContext& ctx,
+                               PlanValId x) const {
+  const PlanValId xw = pb.MatMul(x, weight_.Bind(pb));  // [n, out_dim]
   // Per-node attention logits, then gathered per arc. The standard GATv1
   // decomposition a.[Wh_u || Wh_v] = a_src.Wh_u + a_dst.Wh_v.
-  Tensor logit_src = MatMul(xw, att_src_);  // [n, 1]
-  Tensor logit_dst = MatMul(xw, att_dst_);  // [n, 1]
-  Tensor e = LeakyRelu(
-      Add(GatherRows(logit_src, ctx.src), GatherRows(logit_dst, ctx.dst)),
-      0.2f);
-  const std::vector<uint32_t>& group =
-      norm_ == AttentionNorm::kTarget ? ctx.dst : ctx.src;
-  Tensor alpha = SegmentSoftmax(e, group, ctx.num_nodes);
-  return WeightedScatterAddRows(alpha, xw, ctx.src, ctx.dst, ctx.num_nodes);
-}
-
-PlanValId AttentionConv::Lower(PlanBuilder& pb, const ParamStore& store,
-                               const GraphContext& ctx, PlanValId x) const {
-  const PlanValId w =
-      pb.Param(store.OffsetOf(weight_), weight_.rows(), weight_.cols());
-  const PlanValId xw = pb.MatMul(x, w);
-  const PlanValId a_src =
-      pb.Param(store.OffsetOf(att_src_), att_src_.rows(), 1);
-  const PlanValId a_dst =
-      pb.Param(store.OffsetOf(att_dst_), att_dst_.rows(), 1);
-  const PlanValId logit_src = pb.MatMul(xw, a_src);
-  const PlanValId logit_dst = pb.MatMul(xw, a_dst);
+  const PlanValId logit_src = pb.MatMul(xw, att_src_.Bind(pb));  // [n, 1]
+  const PlanValId logit_dst = pb.MatMul(xw, att_dst_.Bind(pb));  // [n, 1]
   const PlanValId e = pb.LeakyRelu(
       pb.Add(pb.GatherRows(logit_src, ctx.src),
              pb.GatherRows(logit_dst, ctx.dst)),

@@ -8,29 +8,25 @@
 #include "nn/graph_context.h"
 #include "nn/param_store.h"
 #include "tensor/plan.h"
-#include "tensor/tensor.h"
 
 namespace privim {
 
 /// Base class for one message-passing layer (Appendix G of the paper).
 /// Layers register their parameters in a shared ParamStore at construction
-/// and are stateless afterwards: Forward() may be called on any
-/// GraphContext (subgraphs during training, the full graph at inference).
+/// and keep only where they live in its flat vector: Lower() may record the
+/// layer against any GraphContext (subgraphs during training, the full
+/// graph at inference).
 class GnnLayer {
  public:
   virtual ~GnnLayer() = default;
 
-  /// Applies the layer: x is [num_nodes, in_dim]; returns
-  /// [num_nodes, out_dim] pre-activation (models apply the nonlinearity).
-  virtual Tensor Forward(const GraphContext& ctx, const Tensor& x) const = 0;
-
-  /// Records the same computation as Forward() into a PlanBuilder, with
-  /// parameters bound by their flat offset in `store` (which must be the
-  /// store the layer registered into). Returns the pre-activation value id.
-  /// The compiled plan borrows `ctx`'s edge vectors and must not outlive
-  /// them.
-  virtual PlanValId Lower(PlanBuilder& pb, const ParamStore& store,
-                          const GraphContext& ctx, PlanValId x) const = 0;
+  /// Records the layer into a PlanBuilder: x is [num_nodes, in_dim];
+  /// returns the [num_nodes, out_dim] pre-activation value id (models apply
+  /// the nonlinearity). Parameters are bound at their offsets in the store
+  /// the layer registered into. The compiled plan borrows `ctx`'s edge
+  /// vectors and must not outlive them.
+  virtual PlanValId Lower(PlanBuilder& pb, const GraphContext& ctx,
+                          PlanValId x) const = 0;
 
   virtual std::string name() const = 0;
 };
@@ -41,14 +37,13 @@ class GcnConv : public GnnLayer {
  public:
   GcnConv(size_t in_dim, size_t out_dim, ParamStore& store, Rng& rng,
           const std::string& name);
-  Tensor Forward(const GraphContext& ctx, const Tensor& x) const override;
-  PlanValId Lower(PlanBuilder& pb, const ParamStore& store,
-                  const GraphContext& ctx, PlanValId x) const override;
+  PlanValId Lower(PlanBuilder& pb, const GraphContext& ctx,
+                  PlanValId x) const override;
   std::string name() const override { return name_; }
 
  private:
-  Tensor weight_;
-  Tensor bias_;
+  ParamEntry weight_;
+  ParamEntry bias_;
   std::string name_;
 };
 
@@ -57,14 +52,13 @@ class SageConv : public GnnLayer {
  public:
   SageConv(size_t in_dim, size_t out_dim, ParamStore& store, Rng& rng,
            const std::string& name);
-  Tensor Forward(const GraphContext& ctx, const Tensor& x) const override;
-  PlanValId Lower(PlanBuilder& pb, const ParamStore& store,
-                  const GraphContext& ctx, PlanValId x) const override;
+  PlanValId Lower(PlanBuilder& pb, const GraphContext& ctx,
+                  PlanValId x) const override;
   std::string name() const override { return name_; }
 
  private:
-  Tensor weight_;  // [2*in_dim, out_dim]
-  Tensor bias_;
+  ParamEntry weight_;  // [2*in_dim, out_dim]
+  ParamEntry bias_;
   std::string name_;
 };
 
@@ -73,17 +67,16 @@ class GinConv : public GnnLayer {
  public:
   GinConv(size_t in_dim, size_t out_dim, ParamStore& store, Rng& rng,
           const std::string& name);
-  Tensor Forward(const GraphContext& ctx, const Tensor& x) const override;
-  PlanValId Lower(PlanBuilder& pb, const ParamStore& store,
-                  const GraphContext& ctx, PlanValId x) const override;
+  PlanValId Lower(PlanBuilder& pb, const GraphContext& ctx,
+                  PlanValId x) const override;
   std::string name() const override { return name_; }
 
  private:
-  Tensor w1_;  // [in_dim, out_dim]
-  Tensor b1_;
-  Tensor w2_;  // [out_dim, out_dim]
-  Tensor b2_;
-  Tensor omega_;  // [1,1], initialised to 0
+  ParamEntry w1_;  // [in_dim, out_dim]
+  ParamEntry b1_;
+  ParamEntry w2_;  // [out_dim, out_dim]
+  ParamEntry b2_;
+  ParamEntry omega_;  // [1,1], initialised to 0
   std::string name_;
 };
 
@@ -103,15 +96,14 @@ class AttentionConv : public GnnLayer {
  public:
   AttentionConv(size_t in_dim, size_t out_dim, AttentionNorm norm,
                 ParamStore& store, Rng& rng, const std::string& name);
-  Tensor Forward(const GraphContext& ctx, const Tensor& x) const override;
-  PlanValId Lower(PlanBuilder& pb, const ParamStore& store,
-                  const GraphContext& ctx, PlanValId x) const override;
+  PlanValId Lower(PlanBuilder& pb, const GraphContext& ctx,
+                  PlanValId x) const override;
   std::string name() const override { return name_; }
 
  private:
-  Tensor weight_;  // [in_dim, out_dim]
-  Tensor att_src_;  // [out_dim, 1]
-  Tensor att_dst_;  // [out_dim, 1]
+  ParamEntry weight_;  // [in_dim, out_dim]
+  ParamEntry att_src_;  // [out_dim, 1]
+  ParamEntry att_dst_;  // [out_dim, 1]
   AttentionNorm norm_;
   std::string name_;
 };

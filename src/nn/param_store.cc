@@ -1,92 +1,54 @@
 #include "nn/param_store.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
 
 namespace privim {
 
-Tensor ParamStore::NewGlorot(const std::string& name, size_t rows,
-                             size_t cols, Rng& rng, size_t fan_in,
-                             size_t fan_out) {
+ParamEntry ParamStore::Append(const std::string& name, size_t rows,
+                              size_t cols) {
+  ParamEntry e{name, values_.size(), rows, cols};
+  values_.resize(values_.size() + e.size());
+  entries_.push_back(e);
+  return e;
+}
+
+ParamEntry ParamStore::NewGlorot(const std::string& name, size_t rows,
+                                 size_t cols, Rng& rng, size_t fan_in,
+                                 size_t fan_out) {
   if (fan_in == 0) fan_in = rows;
   if (fan_out == 0) fan_out = cols;
   const double bound =
       std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
-  Matrix m(rows, cols);
-  for (size_t i = 0; i < m.size(); ++i) {
-    m.data()[i] = static_cast<float>(rng.Uniform(-bound, bound));
+  const ParamEntry e = Append(name, rows, cols);
+  for (size_t i = 0; i < e.size(); ++i) {
+    values_[e.offset + i] = static_cast<float>(rng.Uniform(-bound, bound));
   }
-  Tensor t(std::move(m), /*requires_grad=*/true);
-  params_.push_back(t);
-  names_.push_back(name);
-  num_scalars_ += rows * cols;
-  return t;
+  return e;
 }
 
-Tensor ParamStore::NewConstant(const std::string& name, size_t rows,
-                               size_t cols, float value) {
-  Tensor t(Matrix(rows, cols, value), /*requires_grad=*/true);
-  params_.push_back(t);
-  names_.push_back(name);
-  num_scalars_ += rows * cols;
-  return t;
-}
-
-size_t ParamStore::OffsetOf(const Tensor& t) const {
-  size_t pos = 0;
-  for (const Tensor& p : params_) {
-    if (TensorOpBuilder::node(p) == TensorOpBuilder::node(t)) return pos;
-    pos += p.value().size();
-  }
-  PRIVIM_CHECK(false) << "tensor is not a parameter of this store";
-  return 0;
-}
-
-void ParamStore::ZeroGrads() {
-  for (Tensor& p : params_) p.ZeroGrad();
-}
-
-void ParamStore::FlattenGrads(std::span<float> out) const {
-  PRIVIM_CHECK_EQ(out.size(), num_scalars_);
-  size_t pos = 0;
-  for (const Tensor& p : params_) {
-    const Matrix& g = p.grad();
-    std::copy(g.data(), g.data() + g.size(), out.data() + pos);
-    pos += g.size();
-  }
+ParamEntry ParamStore::NewConstant(const std::string& name, size_t rows,
+                                   size_t cols, float value) {
+  const ParamEntry e = Append(name, rows, cols);
+  std::fill_n(values_.begin() + e.offset, e.size(), value);
+  return e;
 }
 
 void ParamStore::FlattenParams(std::span<float> out) const {
-  PRIVIM_CHECK_EQ(out.size(), num_scalars_);
-  size_t pos = 0;
-  for (const Tensor& p : params_) {
-    const Matrix& v = p.value();
-    std::copy(v.data(), v.data() + v.size(), out.data() + pos);
-    pos += v.size();
-  }
+  PRIVIM_CHECK_EQ(out.size(), values_.size());
+  std::copy(values_.begin(), values_.end(), out.begin());
 }
 
 void ParamStore::LoadParams(std::span<const float> in) {
-  PRIVIM_CHECK_EQ(in.size(), num_scalars_);
-  size_t pos = 0;
-  for (Tensor& p : params_) {
-    Matrix& v = p.mutable_value();
-    std::copy(in.data() + pos, in.data() + pos + v.size(), v.data());
-    pos += v.size();
-  }
+  PRIVIM_CHECK_EQ(in.size(), values_.size());
+  std::copy(in.begin(), in.end(), values_.begin());
 }
 
 void ParamStore::ApplyUpdate(std::span<const float> delta, float step) {
-  PRIVIM_CHECK_EQ(delta.size(), num_scalars_);
-  size_t pos = 0;
-  for (Tensor& p : params_) {
-    Matrix& v = p.mutable_value();
-    for (size_t i = 0; i < v.size(); ++i) {
-      v.data()[i] -= step * delta[pos + i];
-    }
-    pos += v.size();
-  }
+  PRIVIM_CHECK_EQ(delta.size(), values_.size());
+  for (size_t i = 0; i < values_.size(); ++i) values_[i] -= step * delta[i];
 }
 
 }  // namespace privim

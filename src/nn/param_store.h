@@ -6,51 +6,50 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "tensor/tensor.h"
+#include "tensor/plan.h"
 
 namespace privim {
 
-/// Owns a model's trainable parameters and provides the flat-vector views
-/// DP-SGD needs (per-sample gradient flattening, noisy updates).
+/// One parameter tensor: a [rows, cols] row-major block at `offset` of the
+/// store's flat vector.
+struct ParamEntry {
+  std::string name;
+  size_t offset = 0;
+  size_t rows = 0;
+  size_t cols = 0;
+
+  size_t size() const { return rows * cols; }
+  /// Declares this parameter in a plan (PlanBuilder::Param).
+  PlanValId Bind(PlanBuilder& pb) const { return pb.Param(offset, rows, cols); }
+};
+
+/// Owns a model's trainable parameters as one flat vector, in creation
+/// order — the layout compiled plans bind (`values()`), DP-SGD clips and
+/// noises, and checkpoints store.
 class ParamStore {
  public:
   ParamStore() = default;
 
-  // Parameter tensors are shared handles; copying the store would alias
-  // them confusingly, so forbid it.
-  ParamStore(const ParamStore&) = delete;
-  ParamStore& operator=(const ParamStore&) = delete;
-  ParamStore(ParamStore&&) = default;
-  ParamStore& operator=(ParamStore&&) = default;
-
-  /// Creates a [rows, cols] parameter initialized Glorot-uniform with the
+  /// Appends a [rows, cols] parameter initialized Glorot-uniform with the
   /// given fan-in/fan-out (pass 0/0 to use rows/cols).
-  Tensor NewGlorot(const std::string& name, size_t rows, size_t cols,
-                   Rng& rng, size_t fan_in = 0, size_t fan_out = 0);
+  ParamEntry NewGlorot(const std::string& name, size_t rows, size_t cols,
+                       Rng& rng, size_t fan_in = 0, size_t fan_out = 0);
 
-  /// Creates a parameter filled with a constant.
-  Tensor NewConstant(const std::string& name, size_t rows, size_t cols,
-                     float value);
+  /// Appends a parameter filled with a constant.
+  ParamEntry NewConstant(const std::string& name, size_t rows, size_t cols,
+                         float value);
 
-  /// Offset of parameter `t` in the flat vectors (FlattenParams /
-  /// FlattenGrads order). `t` must be a tensor created by this store
-  /// (matched by node identity, not by value).
-  size_t OffsetOf(const Tensor& t) const;
-
-  size_t num_tensors() const { return params_.size(); }
+  size_t num_tensors() const { return entries_.size(); }
   /// Total number of scalar parameters.
-  size_t num_scalars() const { return num_scalars_; }
+  size_t num_scalars() const { return values_.size(); }
 
-  const std::vector<Tensor>& params() const { return params_; }
-  const std::vector<std::string>& names() const { return names_; }
+  const std::vector<ParamEntry>& entries() const { return entries_; }
 
-  /// Zeroes every parameter gradient (call between per-sample passes).
-  void ZeroGrads();
+  /// The flat parameter vector.
+  std::span<const float> values() const { return values_; }
+  std::span<float> values() { return values_; }
 
-  /// Copies all gradients into `out` (size must equal num_scalars()).
-  void FlattenGrads(std::span<float> out) const;
-
-  /// Copies all parameter values into `out`.
+  /// Copies all parameter values into `out` (size must equal num_scalars()).
   void FlattenParams(std::span<float> out) const;
 
   /// Overwrites parameter values from `in`.
@@ -61,9 +60,10 @@ class ParamStore {
   void ApplyUpdate(std::span<const float> delta, float step);
 
  private:
-  std::vector<Tensor> params_;
-  std::vector<std::string> names_;
-  size_t num_scalars_ = 0;
+  ParamEntry Append(const std::string& name, size_t rows, size_t cols);
+
+  std::vector<float> values_;
+  std::vector<ParamEntry> entries_;
 };
 
 }  // namespace privim

@@ -28,14 +28,12 @@ Status SaveModel(const GnnModel& model, const std::string& path) {
   const ParamStore& store = model.params();
   // Full float precision so a reloaded model reproduces scores bit-close.
   out.precision(9);
-  for (size_t i = 0; i < store.num_tensors(); ++i) {
-    const Tensor& p = store.params()[i];
-    out << "tensor " << store.names()[i] << " " << p.rows() << " "
-        << p.cols() << "\n";
-    for (size_t r = 0; r < p.rows(); ++r) {
-      const float* row = p.value().row(r);
-      for (size_t c = 0; c < p.cols(); ++c) {
-        out << row[c] << (c + 1 == p.cols() ? '\n' : ' ');
+  for (const ParamEntry& p : store.entries()) {
+    out << "tensor " << p.name << " " << p.rows << " " << p.cols << "\n";
+    for (size_t r = 0; r < p.rows; ++r) {
+      const float* row = store.values().data() + p.offset + r * p.cols;
+      for (size_t c = 0; c < p.cols; ++c) {
+        out << row[c] << (c + 1 == p.cols ? '\n' : ' ');
       }
     }
   }
@@ -140,14 +138,13 @@ Status LoadModelParams(const std::string& path, GnnModel& model) {
           "model checkpoint '%s': malformed tensor block %zu", path.c_str(),
           i));
     }
-    const Tensor& p = model.params().params()[i];
-    if (name != model.params().names()[i] || rows != p.rows() ||
-        cols != p.cols()) {
+    const ParamEntry& p = model.params().entries()[i];
+    if (name != p.name || rows != p.rows || cols != p.cols) {
       return Status::FailedPrecondition(StrFormat(
           "model checkpoint '%s': tensor %zu mismatch: checkpoint %s[%zux%zu]"
           " vs model %s[%zux%zu]",
-          path.c_str(), i, name.c_str(), rows, cols,
-          model.params().names()[i].c_str(), p.rows(), p.cols()));
+          path.c_str(), i, name.c_str(), rows, cols, p.name.c_str(), p.rows,
+          p.cols));
     }
     for (size_t k = 0; k < rows * cols; ++k) {
       if (!(in >> flat[pos])) {

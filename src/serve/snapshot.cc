@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <numeric>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/string_util.h"
 #include "nn/features.h"
-#include "nn/graph_context.h"
 #include "nn/serialization.h"
-#include "tensor/matrix.h"
 #include "tensor/plan.h"
 
 namespace privim {
@@ -61,38 +57,15 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::FromModel(
         "snapshot features read in-degrees; call Graph::EnsureInCsr() on "
         "graphs built without the in-CSR before installing snapshots");
   }
-  std::vector<float> logits;
-  {
-    // Serving is inference-only, so the logits plan takes the optimized
-    // (fused + SIMD) compile: still a deterministic pure function of
-    // (model, graph), just not bit-identical to the tape
-    // (docs/performance.md tolerance contract). PRIVIM_FORCE_ISA=scalar
-    // restores the reference kernels. Context, features, flat parameters,
-    // plan and arena are all transient: only the logits outlive this
-    // scope.
-    const GraphContext ctx = BuildGraphContext(graph);
-    const Matrix features = BuildNodeFeatures(graph);
-    std::vector<float> flat_params(model->params().num_scalars());
-    model->params().FlattenParams(flat_params);
-    PlanBuilder pb;
-    const PlanValId x = pb.Input(ctx.num_nodes, model->config().in_dim);
-    const GnnPlan plan =
-        pb.Build(model->LowerLogits(pb, ctx, x), PlanOptions::Native());
-    PlanArena arena;
-    plan.Forward(flat_params, features, arena);
-    const std::span<const float> out = plan.Output(arena);
-    logits.assign(out.begin(), out.end());
-  }
-  // The ranking sorts under RanksBefore, which is an order only over
-  // finite logits; a NaN would make the sort's comparator invalid.
-  for (size_t u = 0; u < logits.size(); ++u) {
-    if (!std::isfinite(logits[u])) {
-      return Status::InvalidArgument(StrFormat(
-          "ModelSnapshot::FromModel: node %zu has a non-finite seed logit "
-          "(%g); the model's parameters are not finite or overflow float",
-          u, static_cast<double>(logits[u])));
-    }
-  }
+  // Serving is inference-only, so the logits plan takes the optimized
+  // (fused + SIMD) compile: still a deterministic pure function of
+  // (model, graph), within the docs/performance.md tolerance of the
+  // reference plan. PRIVIM_FORCE_ISA=scalar restores the reference
+  // kernels. InferSeedLogits rejects non-finite logits: the ranking sorts
+  // under RanksBefore, which is an order only over finite values.
+  PRIVIM_ASSIGN_OR_RETURN(std::vector<float> logits,
+                          InferSeedLogits(*model, graph,
+                                          PlanOptions::Native()));
   // make_shared needs a public constructor; the snapshot is immutable
   // after this function, so a plain new behind a shared_ptr is fine.
   auto snap = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());

@@ -18,11 +18,12 @@ namespace privim {
 /// node's pre-sigmoid seed logit and the nodes ranked by it.
 ///
 /// Ranking is post-processing of the frozen model, so it runs ONCE, at
-/// build time: FromModel compiles the seed-logits plan (tensor/plan.h),
-/// executes one forward pass on a transient arena, keeps the logits, and
-/// sorts the node ids under the serving order (logit descending, node id
-/// ascending on ties). The plan, the graph context, the feature matrix and
-/// the arena are released before FromModel returns. A build therefore
+/// build time: FromModel computes the logits with InferSeedLogits
+/// (nn/gnn.h: one forward-only pass of the Native seed-logits plan on a
+/// transient arena that holds no gradient buffers) and sorts the node ids
+/// under the serving order (logit descending, node id ascending on ties).
+/// The plan, the graph context, the feature matrix and the arena are
+/// released before FromModel returns. A build therefore
 /// costs one forward pass plus an O(n log n) sort, paid by the producer
 /// before publication; a top-k query over the whole graph is then an O(k)
 /// prefix of ranked(), and a candidate-restricted one an O(|C|) gather

@@ -11,7 +11,7 @@ namespace simd {
 /// with runtime CPUID dispatch.
 ///
 /// Three tiers are always compiled: scalar (an exact transcription of the
-/// reference loops in plan.cc, bit-identical to the tape), AVX2 (8-lane
+/// reference loops of PlanOptions::Reference() plans), AVX2 (8-lane
 /// float) and AVX-512 (16-lane float, masked remainders). The AVX tiers
 /// live in their own translation units (kernels_avx2.cc / kernels_avx512.cc)
 /// built with per-file -m flags so nothing else in the binary is compiled
@@ -62,8 +62,7 @@ struct Kernels {
   void (*matmul_da)(const float* g, const float* b, float* ag, size_t m,
                     size_t k, size_t n);
   /// s[k,n] = a[m,k]^T * g[m,n] (zero-fills s). The caller folds s into
-  /// the parameter gradient, preserving the tape's staged-then-added
-  /// accumulation order.
+  /// the parameter gradient (staged-then-added accumulation order).
   void (*matmul_db)(const float* a, const float* g, float* s, size_t m,
                     size_t k, size_t n);
 

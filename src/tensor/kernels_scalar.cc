@@ -1,10 +1,9 @@
-// Scalar kernel tier: exact transcriptions of the reference loops that
-// tensor/plan.cc historically ran inline. Loop structure, accumulation
-// order, the zero-skip in the matmuls, and the float/double mixing are all
-// preserved verbatim — this tier IS the bit-identity contract with the
-// dynamic tape (tensor/ops.cc), pinned by tests/nn/plan_equivalence_test.cc.
-// Keep this file free of -m microarchitecture flags so it rounds exactly
-// like the tape code.
+// Scalar kernel tier: the reference loops of PlanOptions::Reference()
+// plans, which every other tier is compared against
+// (tests/tensor/kernel_diff_test.cc). Loop structure, accumulation order,
+// the zero-skip in the matmuls, and the float/double mixing are part of
+// that contract. Keep this file free of -m microarchitecture flags so it
+// rounds like the rest of the baseline build.
 
 #include <algorithm>
 #include <cstddef>

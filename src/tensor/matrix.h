@@ -8,7 +8,7 @@
 
 namespace privim {
 
-/// Dense row-major float32 matrix — the storage type underneath `Tensor`.
+/// Dense row-major float32 matrix — node features and other plan inputs.
 ///
 /// Deliberately minimal: PrivIM's GNNs operate on subgraphs of at most a few
 /// hundred nodes, so simple loops beat BLAS-call overhead and keep the

@@ -223,8 +223,6 @@ PlanValId PlanBuilder::Sum(PlanValId x) {
 }
 
 PlanValId PlanBuilder::MeanAll(PlanValId x) {
-  // Mirrors ops.cc MeanAll: Scale(Sum(x), 1/size) — two tape nodes, so the
-  // plan creates the same two ops to keep the backward replay aligned.
   PRIVIM_CHECK_GT(val(x).size(), 0u);
   return Scale(Sum(x), 1.0f / static_cast<float>(val(x).size()));
 }
@@ -270,7 +268,7 @@ PlanValId PlanBuilder::WeightedScatterAddRows(
     PRIVIM_CHECK_LT(dst[e], num_out);
   }
   Op op{OpKind::kWeightedScatterAddRows};
-  op.a = alpha;  // Tape parent order: {alpha, x}.
+  op.a = alpha;
   op.b = x;
   op.idx_a = src.data();
   op.idx_b = dst.data();
@@ -302,9 +300,10 @@ ExecutionPlan PlanBuilder::Build(PlanValId output, const PlanOptions& opts) {
   plan.output_ = output;
   plan.input_id_ = input_;
 
-  // Arena layout. Activation values first, then (contiguously) every
-  // gradient buffer so Backward can zero them with a single fill, then
-  // per-op scratch.
+  // Arena layout: activation values, then the forward scratch
+  // (SegmentSoftmax's per-group max), which together are all Forward
+  // touches; then every gradient buffer, contiguous so Backward zeroes them
+  // with a single fill; then the backward-only MatMul dB staging buffers.
   size_t f_off = 0;
   for (ValueNode& v : plan.vals_) {
     if (v.slot == SlotKind::kActivation) {
@@ -315,6 +314,19 @@ ExecutionPlan PlanBuilder::Build(PlanValId output, const PlanOptions& opts) {
           std::max(plan.param_scalars_, v.param_offset + v.size());
     }
   }
+  size_t d_off = 0;
+  for (Op& op : plan.ops_) {
+    if (op.kind == OpKind::kSegmentSoftmax) {
+      // Forward: gmax (float) + gsum (double); backward reuses the double
+      // region for gdot (both are num_groups wide and never live at the
+      // same time).
+      op.scratch_f = f_off;
+      f_off += op.n_groups;
+      op.scratch_d = d_off;
+      d_off += op.n_groups;
+    }
+  }
+  plan.ffwd_ = f_off;
   plan.grads_off_ = f_off;
   for (ValueNode& v : plan.vals_) {
     if (v.slot == SlotKind::kActivation && v.requires_grad) {
@@ -323,41 +335,22 @@ ExecutionPlan PlanBuilder::Build(PlanValId output, const PlanOptions& opts) {
     }
   }
   plan.grads_len_ = f_off - plan.grads_off_;
-
-  size_t d_off = 0;
   for (Op& op : plan.ops_) {
-    switch (op.kind) {
-      case OpKind::kSegmentSoftmax:
-        // Forward: gmax (float) + gsum (double); backward reuses the
-        // double region for gdot (both are num_groups wide and never live
-        // at the same time).
-        op.scratch_f = f_off;
-        f_off += op.n_groups;
-        op.scratch_d = d_off;
-        d_off += op.n_groups;
-        break;
-      case OpKind::kMatMul:
-        // dB is staged in a zeroed buffer and then added into the
-        // parameter gradient, exactly like the tape's
-        // MatTransMulValues-then-AddInPlace, so the accumulation order is
-        // byte-identical even when the gradient already holds mass.
-        if (plan.vals_[op.b].requires_grad) {
-          op.scratch_db = f_off;
-          f_off += plan.vals_[op.b].size();
-        }
-        break;
-      default:
-        break;
+    // dB is staged in a zeroed buffer and then added into the parameter
+    // gradient, so the accumulation order is fixed even when the gradient
+    // already holds mass.
+    if (op.kind == OpKind::kMatMul && plan.vals_[op.b].requires_grad) {
+      op.scratch_db = f_off;
+      f_off += plan.vals_[op.b].size();
     }
   }
   plan.farena_ = f_off;
   plan.darena_ = d_off;
 
-  // Backward schedule: replay the tape's iterative post-order DFS
-  // (tensor/tensor.cc) over the identical DAG — same root, same
-  // parent-visit order ({a, b}) — then reverse. Gradient contributions to
-  // shared nodes therefore land in the same order as on the tape, which is
-  // what makes float accumulation bit-identical.
+  // Backward schedule: an iterative post-order DFS from the output
+  // (parent-visit order {a, b}), reversed. The order is a pure function of
+  // the DAG, so gradient contributions to shared nodes always land in the
+  // same order and float accumulation is deterministic.
   struct Frame {
     PlanValId node;
     size_t next_parent;
@@ -391,8 +384,8 @@ ExecutionPlan PlanBuilder::Build(PlanValId output, const PlanOptions& opts) {
   }
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const ValueNode& v = plan.vals_[*it];
-    // Tape: a node participates in backprop iff it has a closure (an op
-    // whose result requires grad).
+    // A node participates in backprop iff an op produced it and its
+    // result requires grad.
     if (v.op >= 0 && v.requires_grad) plan.backward_.push_back(v.op);
   }
 
@@ -522,8 +515,8 @@ size_t ExecutionPlan::output_cols() const {
   return vals_[output_].cols;
 }
 
-void ExecutionPlan::EnsureArena(PlanArena& arena) const {
-  if (arena.f.size() < farena_) arena.f.resize(farena_);
+void ExecutionPlan::EnsureArena(PlanArena& arena, size_t floats) const {
+  if (arena.f.size() < floats) arena.f.resize(floats);
   if (arena.d.size() < darena_) arena.d.resize(darena_);
 }
 
@@ -553,8 +546,8 @@ float* ExecutionPlan::GradPtr(PlanValId id, std::span<float> param_grads,
 
 namespace {
 
-// Elementwise forward/backward scalar functions, transcribed from the
-// tape lambdas in tensor/ops.cc so both paths round identically.
+// Elementwise forward/backward scalar functions shared by the unfused
+// kernels and the fused sweep, so both round identically.
 inline float SigmoidFwd(float v) {
   return v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
                    : std::exp(v) / (1.0f + std::exp(v));
@@ -787,7 +780,7 @@ void ExecutionPlan::Forward(std::span<const float> params,
     PRIVIM_CHECK_EQ(input.rows(), vals_[input_id_].rows);
     PRIVIM_CHECK_EQ(input.cols(), vals_[input_id_].cols);
   }
-  EnsureArena(arena);
+  EnsureArena(arena, ffwd_);
 
   if (steps_.empty()) {
     for (const Op& op : ops_) ExecForwardOp(op, params, input, arena);
@@ -840,7 +833,7 @@ void ExecutionPlan::Backward(std::span<const float> params,
   PRIVIM_CHECK(compiled());
   PRIVIM_CHECK_EQ(vals_[output_].size(), 1u);
   PRIVIM_CHECK_GE(param_grads.size(), param_scalars_);
-  EnsureArena(arena);
+  EnsureArena(arena, farena_);
 
   std::fill(param_grads.begin(), param_grads.end(), 0.0f);
   float* grads = arena.f.data() + grads_off_;
@@ -865,12 +858,11 @@ void ExecutionPlan::Backward(std::span<const float> params,
         const size_t k = vals_[op.a].cols;
         if (ag != nullptr) {
           // dA = dOut * B^T: each entry is one locally accumulated dot,
-          // added once — identical to MatMulTransValues + AddInPlace.
+          // added once.
           op.kern->matmul_da(g, bv, ag, m, k, n);
         }
         if (bg != nullptr) {
-          // dB = A^T * dOut, staged in a zeroed scratch then added, as the
-          // tape does (MatTransMulValues builds a fresh matrix).
+          // dB = A^T * dOut, staged in a zeroed scratch then added.
           float* s = arena.f.data() + op.scratch_db;
           op.kern->matmul_db(av, g, s, m, k, n);
           for (size_t i = 0; i < k * n; ++i) bg[i] += s[i];

@@ -12,30 +12,32 @@
 
 namespace privim {
 
-/// Compiled execution plans: the static counterpart of the dynamic
-/// `Tensor` tape.
+/// Compiled execution plans: the one execution engine for GNN forward and
+/// backward passes.
 ///
-/// A `PlanBuilder` records the same op DAG a forward pass would build on
-/// the tape, but as POD op descriptors over integer value ids instead of
-/// `shared_ptr<TensorNode>` graphs with `std::function` closures. `Build()`
-/// freezes the DAG into an `ExecutionPlan`: a flat forward schedule, a
-/// backward schedule that replays the tape's reverse-postorder traversal,
-/// and a byte-exact arena layout for every activation, gradient, and
-/// per-op scratch buffer.
+/// A `PlanBuilder` records an op DAG as POD op descriptors over integer
+/// value ids. `Build()` freezes it into an `ExecutionPlan`: a flat forward
+/// schedule, a backward schedule (reverse post-order of a DFS from the
+/// output), and a byte-exact arena layout for every activation, gradient,
+/// and per-op scratch buffer.
 ///
 /// Steady-state contract: once a `PlanArena` has been warmed (one
 /// `Forward`+`Backward` round), repeated execution performs **zero heap
 /// allocations** — every kernel reads and writes preallocated arena
 /// regions, parameter values come from a caller-provided flat span, and
 /// parameter gradients accumulate into a caller-provided flat span laid
-/// out in `ParamStore` flatten order.
+/// out in `ParamStore` order.
 ///
-/// Bit-identity contract: every kernel transcribes the arithmetic of the
-/// corresponding tape op in tensor/ops.cc (same loop structure, same
-/// accumulation order, same float/double mixing), and the backward
-/// schedule replays the exact parent-visit order of Tensor::Backward's
-/// DFS, so plan and tape produce bit-identical values and gradients
-/// (pinned by tests/nn/plan_equivalence_test.cc over all five GnnTypes).
+/// Arena layout: activations, then the forward scratch of SegmentSoftmax,
+/// then every gradient buffer, then the MatMul dB staging buffers.
+/// `Forward` sizes only the prefix up to the forward scratch, so an
+/// inference-only arena never holds gradient storage; `Backward` grows it
+/// to the full layout.
+///
+/// Reference contract: plans built with `PlanOptions::Reference()` run the
+/// scalar kernels unfused; they are the oracle every other configuration is
+/// compared against (finite differences in tests/tensor/gradcheck_test.cc,
+/// the tolerance contract of docs/performance.md for `Native()`).
 ///
 /// Lifetime: a plan borrows the edge-index/coefficient vectors passed to
 /// the graph ops (in practice the `GraphContext` it was compiled against)
@@ -128,13 +130,12 @@ constexpr int32_t kMaxFuseLen = 8;
 }  // namespace plan_internal
 
 /// Compiler-pass knobs for PlanBuilder::Build. The default —
-/// `Reference()` — produces the scalar, unfused plan whose values and
-/// gradients are bit-identical to the dynamic tape (the contract
-/// tests/nn/plan_equivalence_test.cc pins). `Native()` turns on
+/// `Reference()` — produces the scalar, unfused plan that serves as the
+/// reference implementation. `Native()` turns on
 /// elementwise fusion and the best SIMD tier the host supports
 /// (tensor/kernels.h; override with PRIVIM_FORCE_ISA). Fusion alone keeps
-/// bit-identity (the sweep applies the same scalar arithmetic per
-/// element); SIMD paths are tolerance-pinned instead
+/// bit-identity with the reference (the sweep applies the same scalar
+/// arithmetic per element); SIMD paths are tolerance-pinned instead
 /// (tests/tensor/kernel_diff_test.cc, docs/performance.md).
 struct PlanOptions {
   bool fuse_elementwise = false;
@@ -146,10 +147,10 @@ struct PlanOptions {
 
 /// Grow-only execution buffers for one concurrent executor of a plan
 /// (trainer: one per worker slot). An arena can be shared by plans of
-/// different shapes — `ExecutionPlan::Forward` grows it to the plan's
-/// high-water mark and never shrinks it, so alternating between the
-/// subgraph plans of a training batch stops allocating once every plan has
-/// run once.
+/// different shapes — `Forward` grows it to the plan's forward prefix,
+/// `Backward` to its full layout, and neither ever shrinks it, so
+/// alternating between the subgraph plans of a training batch stops
+/// allocating once every plan has run once.
 struct PlanArena {
   std::vector<float> f;
   std::vector<double> d;
@@ -157,10 +158,10 @@ struct PlanArena {
 
 class ExecutionPlan;
 
-/// Records ops into a DAG and freezes them into an ExecutionPlan. The
-/// builder API mirrors the tape op library (tensor/ops.h) one to one;
-/// shapes are validated with the same PRIVIM_CHECKs at build time, so a
-/// compiled plan never shape-checks at execution time.
+/// Records ops into a DAG and freezes them into an ExecutionPlan. Shapes
+/// are validated with PRIVIM_CHECKs at build time (shape bugs are
+/// programmer errors), so a compiled plan never shape-checks at execution
+/// time.
 class PlanBuilder {
  public:
   PlanBuilder() = default;
@@ -170,8 +171,8 @@ class PlanBuilder {
   PlanValId Input(size_t rows, size_t cols);
 
   /// Declares a trainable parameter living at `offset` in the flat
-  /// parameter span (ParamStore flatten order). Gradients accumulate at
-  /// the same offset of the flat gradient span.
+  /// parameter span (ParamStore order). Gradients accumulate at the same
+  /// offset of the flat gradient span.
   PlanValId Param(size_t offset, size_t rows, size_t cols);
 
   PlanValId MatMul(PlanValId a, PlanValId b);
@@ -201,7 +202,8 @@ class PlanBuilder {
                            size_t num_groups);
 
   /// Freezes the DAG with `output` as the root: lays out the arena,
-  /// computes the backward schedule (tape-replay order from `output`),
+  /// computes the backward schedule (reverse DFS post-order from
+  /// `output`),
   /// runs the optimization passes selected by `opts` (elementwise fusion,
   /// per-op SIMD kernel selection), and returns the immutable plan. The
   /// builder is left in a moved-from state.
@@ -250,10 +252,15 @@ class ExecutionPlan {
   /// The fused schedule as (first op index, op count) pairs — singleton
   /// steps for an unfused plan. Introspection for the fusion-pass tests.
   std::vector<std::pair<int32_t, int32_t>> ForwardSteps() const;
+  /// Floats of PlanArena::f that Forward needs (activations + forward
+  /// scratch) and that Backward needs (the full layout).
+  size_t forward_arena_size() const { return ffwd_; }
+  size_t arena_size() const { return farena_; }
 
   /// Runs the forward schedule. `params` is the flat parameter vector
-  /// (ParamStore::FlattenParams order); `input` must match the declared
-  /// input shape. Grows `arena` on first use; allocation-free once warm.
+  /// (ParamStore order); `input` must match the declared input shape.
+  /// Grows `arena` to forward_arena_size() on first use; allocation-free
+  /// once warm.
   void Forward(std::span<const float> params, const Matrix& input,
                PlanArena& arena) const;
 
@@ -262,11 +269,10 @@ class ExecutionPlan {
   /// Flat row-major view of the output node's value after Forward.
   std::span<const float> Output(const PlanArena& arena) const;
 
-  /// Runs the backward schedule from the output node (which must be 1x1),
-  /// replaying the tape's traversal order. Zeroes `param_grads` and the
-  /// arena gradient region first, then accumulates: the result is
-  /// bit-identical to ZeroGrads + Tensor::Backward + FlattenGrads on the
-  /// tape. `params`/`input`/`arena` must be the bindings of the
+  /// Runs the backward schedule from the output node (which must be 1x1).
+  /// Zeroes `param_grads` and the arena gradient region first, then
+  /// accumulates d(output)/d(param) into `param_grads`. Grows `arena` to
+  /// arena_size(). `params`/`input`/`arena` must be the bindings of the
   /// immediately preceding Forward call.
   void Backward(std::span<const float> params, const Matrix& input,
                 PlanArena& arena, std::span<float> param_grads) const;
@@ -274,7 +280,7 @@ class ExecutionPlan {
  private:
   friend class PlanBuilder;
 
-  void EnsureArena(PlanArena& arena) const;
+  void EnsureArena(PlanArena& arena, size_t floats) const;
   const float* ValPtr(PlanValId id, std::span<const float> params,
                       const Matrix& input, const PlanArena& arena) const;
   float* GradPtr(PlanValId id, std::span<float> param_grads,
@@ -289,10 +295,11 @@ class ExecutionPlan {
   std::vector<plan_internal::ValueNode> vals_;
   std::vector<plan_internal::Op> ops_;       // Forward order.
   std::vector<plan_internal::FusedStep> steps_;  // Empty unless fused.
-  std::vector<int32_t> backward_;            // Op ids, tape-replay order.
+  std::vector<int32_t> backward_;            // Op ids, reverse post-order.
   simd::Isa isa_ = simd::Isa::kScalar;
   PlanValId output_ = -1;
   PlanValId input_id_ = -1;
+  size_t ffwd_ = 0;
   size_t farena_ = 0;
   size_t darena_ = 0;
   size_t grads_off_ = 0;

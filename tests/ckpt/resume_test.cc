@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -242,6 +243,36 @@ TEST_F(ResumeTest, MismatchedConfigRefusesToResume) {
           .status();
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(status.message().find("refusing to resume"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ResumeTest, NanParameterInTrainedCheckpointFailsEvaluation) {
+  // A trained-stage checkpoint is outside input: its parameters are not
+  // value-checked on load, so one NaN reaches evaluation inference. The
+  // run must refuse to rank NaN scores (TopKByScore's comparator is not an
+  // order over them) and name the node instead.
+  const std::string dir = ScenarioDir("nan_params");
+  ArmFailpoint("privim.ckpt.after_train", FailpointAction::kStatus);
+  Result<PrivImRunResult> interrupted =
+      Run(Config(/*threads=*/1, dir, /*resume=*/true));
+  ClearFailpoints();
+  ASSERT_EQ(interrupted.status().code(), StatusCode::kAborted);
+
+  const std::string path = PipelineCheckpointPath(dir);
+  PipelineState state = std::move(LoadPipelineState(path)).ValueOrDie();
+  ASSERT_EQ(state.stage, PipelineStage::kTrained);
+  ASSERT_FALSE(state.model_params.empty());
+  state.model_params.back() = std::numeric_limits<float>::quiet_NaN();
+  ASSERT_TRUE(SavePipelineState(state, path).ok());
+
+  const Result<PrivImRunResult> resumed =
+      Run(Config(/*threads=*/1, dir, /*resume=*/true));
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(resumed.status().message().find("node 0 has a non-finite seed "
+                                            "logit"),
+            std::string::npos)
+      << resumed.status().ToString();
   std::filesystem::remove_all(dir);
 }
 

@@ -8,8 +8,6 @@
 #include "core/privim.h"
 #include "graph/generators.h"
 #include "im/seed_selection.h"
-#include "nn/features.h"
-#include "nn/graph_context.h"
 
 namespace privim {
 namespace {
@@ -139,14 +137,17 @@ TEST(ModelExportTest, RunMethodHandsOutTrainedModel) {
       std::move(RunMethod(graphs.train, graphs.eval, cfg, rng, &model))
           .ValueOrDie();
   ASSERT_NE(model, nullptr);
-  // The exported model reproduces the run's ranking: scoring the eval
-  // graph again yields the same top seeds (modulo the run's random
-  // tie-break order, so compare as sets).
-  GraphContext ctx = BuildGraphContext(graphs.eval);
-  Tensor logits =
-      model->ForwardLogits(ctx, Tensor(BuildNodeFeatures(graphs.eval)));
-  EXPECT_EQ(logits.rows(), graphs.eval.num_nodes());
-  EXPECT_EQ(run.seeds.size(), cfg.seed_count);
+  // The exported model reproduces the run's scores: evaluation ran the
+  // same Reference inference, so every seed's logit matches bit for bit.
+  const std::vector<float> logits =
+      std::move(InferSeedLogits(*model, graphs.eval,
+                                PlanOptions::Reference()))
+          .ValueOrDie();
+  EXPECT_EQ(logits.size(), graphs.eval.num_nodes());
+  ASSERT_EQ(run.seeds.size(), cfg.seed_count);
+  for (size_t i = 0; i < run.seeds.size(); ++i) {
+    EXPECT_EQ(run.seed_scores[i], logits[run.seeds[i]]) << "seed " << i;
+  }
 }
 
 }  // namespace

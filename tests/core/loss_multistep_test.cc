@@ -10,7 +10,7 @@
 #include "core/loss.h"
 #include "graph/generators.h"
 #include "nn/graph_context.h"
-#include "tensor/ops.h"
+#include "tests/tensor/plan_test_util.h"
 
 namespace privim {
 namespace {
@@ -23,23 +23,32 @@ Matrix RandomProbs(size_t n, Rng& rng) {
   return m;
 }
 
+// Eq. 5 on a Reference plan, with the seed probabilities `x` bound as the
+// plan's parameter so the loss is differentiable in them.
+plan_test::LeafPlan LossPlan(const GraphContext& ctx, const Matrix& x,
+                             const ImLossConfig& cfg) {
+  return plan_test::LeafPlan(
+      {x}, [&](PlanBuilder& pb, const std::vector<PlanValId>& l) {
+        return LowerImPenaltyLoss(pb, ctx, l[0], cfg);
+      });
+}
+
+double Loss(const GraphContext& ctx, const Matrix& x,
+            const ImLossConfig& cfg) {
+  return LossPlan(ctx, x, cfg).Scalar();
+}
+
 void CheckLossGradient(const GraphContext& ctx, Matrix probs,
                        const ImLossConfig& cfg, double tol = 3e-2) {
-  Tensor x(std::move(probs), /*requires_grad=*/true);
-  Tensor loss = ImPenaltyLoss(ctx, x, cfg);
-  x.ZeroGrad();
-  loss.Backward();
-  const Matrix analytic = x.grad();
-
+  const Matrix analytic = LossPlan(ctx, probs, cfg).Grads({probs})[0];
   const double eps = 1e-3;
-  Matrix& value = x.mutable_value();
-  for (size_t i = 0; i < value.size(); ++i) {
-    const float orig = value.data()[i];
-    value.data()[i] = orig + static_cast<float>(eps);
-    const double up = ImPenaltyLoss(ctx, x, cfg).value()(0, 0);
-    value.data()[i] = orig - static_cast<float>(eps);
-    const double down = ImPenaltyLoss(ctx, x, cfg).value()(0, 0);
-    value.data()[i] = orig;
+  for (size_t i = 0; i < probs.size(); ++i) {
+    const float orig = probs.data()[i];
+    probs.data()[i] = orig + static_cast<float>(eps);
+    const double up = Loss(ctx, probs, cfg);
+    probs.data()[i] = orig - static_cast<float>(eps);
+    const double down = Loss(ctx, probs, cfg);
+    probs.data()[i] = orig;
     const double numeric = (up - down) / (2.0 * eps);
     EXPECT_NEAR(analytic.data()[i], numeric,
                 tol * std::max(0.05, std::abs(numeric)))
@@ -74,12 +83,11 @@ TEST(LossMultiStepTest, FractionalWeightsRespected) {
   Graph g = std::move(b.Build()).ValueOrDie();
   GraphContext ctx = BuildGraphContext(g);
   Matrix x(3, 1, 0.5f);
-  Tensor xt(x, true);
   ImLossConfig cfg;
   cfg.lambda = 0.0f;
-  ImPenaltyLoss(ctx, xt, cfg).Backward();
+  const Matrix grad = LossPlan(ctx, x, cfg).Grads({x})[0];
   // More negative gradient = stronger pull toward seeding.
-  EXPECT_LT(xt.grad()(0, 0), xt.grad()(1, 0));
+  EXPECT_LT(grad(0, 0), grad(1, 0));
 }
 
 TEST(LossMultiStepTest, LossIsBounded) {
@@ -93,8 +101,7 @@ TEST(LossMultiStepTest, LossIsBounded) {
   cfg.diffusion_steps = 3;
   cfg.lambda = 0.25f;
   for (int trial = 0; trial < 10; ++trial) {
-    Tensor x(RandomProbs(g.num_nodes(), rng));
-    const double loss = ImPenaltyLoss(ctx, x, cfg).value()(0, 0);
+    const double loss = Loss(ctx, RandomProbs(g.num_nodes(), rng), cfg);
     EXPECT_GE(loss, 0.0);
     EXPECT_LE(loss, 1.0 + 0.25 + 1e-6);
   }
@@ -113,7 +120,7 @@ TEST(LossMultiStepTest, MoreStepsNeverIncreaseSurvival) {
   double prev = 1e9;
   for (int j = 1; j <= 4; ++j) {
     cfg.diffusion_steps = j;
-    const double loss = ImPenaltyLoss(ctx, Tensor(probs), cfg).value()(0, 0);
+    const double loss = Loss(ctx, probs, cfg);
     EXPECT_LE(loss, prev + 1e-6) << "j=" << j;
     prev = loss;
   }
@@ -143,10 +150,8 @@ TEST(LossMultiStepTest, SubgraphSizeInvariantScale) {
   }
   ImLossConfig cfg;
   cfg.diffusion_steps = 2;
-  const double ls =
-      ImPenaltyLoss(BuildGraphContext(gs), Tensor(xs), cfg).value()(0, 0);
-  const double ld =
-      ImPenaltyLoss(BuildGraphContext(gd), Tensor(xd), cfg).value()(0, 0);
+  const double ls = Loss(BuildGraphContext(gs), xs, cfg);
+  const double ld = Loss(BuildGraphContext(gd), xd, cfg);
   EXPECT_NEAR(ls, ld, 1e-6);
 }
 

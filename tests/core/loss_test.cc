@@ -6,10 +6,25 @@
 
 #include "graph/generators.h"
 #include "nn/graph_context.h"
-#include "tensor/ops.h"
+#include "tests/tensor/plan_test_util.h"
 
 namespace privim {
 namespace {
+
+// Eq. 5 on a Reference plan, with the seed probabilities `x` bound as the
+// plan's parameter so the loss is differentiable in them.
+plan_test::LeafPlan LossPlan(const GraphContext& ctx, const Matrix& x,
+                             const ImLossConfig& cfg) {
+  return plan_test::LeafPlan(
+      {x}, [&](PlanBuilder& pb, const std::vector<PlanValId>& l) {
+        return LowerImPenaltyLoss(pb, ctx, l[0], cfg);
+      });
+}
+
+double Loss(const GraphContext& ctx, const Matrix& x,
+            const ImLossConfig& cfg) {
+  return LossPlan(ctx, x, cfg).Scalar();
+}
 
 Graph UnitTriangle() {
   GraphBuilder b(3);
@@ -32,10 +47,10 @@ TEST(ImPenaltyLossTest, HandComputedSingleStep) {
   ImLossConfig cfg;
   cfg.diffusion_steps = 1;
   cfg.lambda = 0.3f;
-  Tensor loss = ImPenaltyLoss(ctx, Tensor(x), cfg);
+  const double loss = Loss(ctx, x, cfg);
   const double expected =
       (2.0 + std::exp(-1.0)) / 3.0 + 0.3 / 3.0;
-  EXPECT_NEAR(loss.value()(0, 0), expected, 1e-5);
+  EXPECT_NEAR(loss, expected, 1e-5);
 }
 
 TEST(ImPenaltyLossTest, ZeroSeedsGivesMaximalUninfluenceTerm) {
@@ -43,9 +58,9 @@ TEST(ImPenaltyLossTest, ZeroSeedsGivesMaximalUninfluenceTerm) {
   GraphContext ctx = BuildGraphContext(g);
   Matrix x(3, 1, 0.0f);
   ImLossConfig cfg;
-  Tensor loss = ImPenaltyLoss(ctx, Tensor(x), cfg);
+  const double loss = Loss(ctx, x, cfg);
   // No influence mass: survival = 1 everywhere, seed mass 0.
-  EXPECT_NEAR(loss.value()(0, 0), 1.0, 1e-6);
+  EXPECT_NEAR(loss, 1.0, 1e-6);
 }
 
 TEST(ImPenaltyLossTest, FullSeedingMinimizesUninfluenceTerm) {
@@ -55,10 +70,8 @@ TEST(ImPenaltyLossTest, FullSeedingMinimizesUninfluenceTerm) {
   Matrix full(3, 1, 1.0f);
   ImLossConfig cfg;
   cfg.lambda = 0.0f;  // Isolate the coverage term.
-  const double uncovered =
-      ImPenaltyLoss(ctx, Tensor(zero), cfg).value()(0, 0);
-  const double covered =
-      ImPenaltyLoss(ctx, Tensor(full), cfg).value()(0, 0);
+  const double uncovered = Loss(ctx, zero, cfg);
+  const double covered = Loss(ctx, full, cfg);
   EXPECT_LT(covered, uncovered);
 }
 
@@ -70,8 +83,8 @@ TEST(ImPenaltyLossTest, LambdaPenalizesSeedMass) {
   low.lambda = 0.1f;
   ImLossConfig high;
   high.lambda = 1.0f;
-  const double l_low = ImPenaltyLoss(ctx, Tensor(x), low).value()(0, 0);
-  const double l_high = ImPenaltyLoss(ctx, Tensor(x), high).value()(0, 0);
+  const double l_low = Loss(ctx, x, low);
+  const double l_high = Loss(ctx, x, high);
   EXPECT_NEAR(l_high - l_low, 0.9 * 0.5, 1e-5);
 }
 
@@ -90,8 +103,8 @@ TEST(ImPenaltyLossTest, MultiStepCoversMoreThanSingleStep) {
   one.lambda = 0.0f;
   ImLossConfig two = one;
   two.diffusion_steps = 2;
-  const double l1 = ImPenaltyLoss(ctx, Tensor(x), one).value()(0, 0);
-  const double l2 = ImPenaltyLoss(ctx, Tensor(x), two).value()(0, 0);
+  const double l1 = Loss(ctx, x, one);
+  const double l2 = Loss(ctx, x, two);
   EXPECT_LT(l2, l1);
 }
 
@@ -132,15 +145,12 @@ TEST(ImPenaltyLossTest, GradientPullsSeedsTowardHighCoverage) {
   Graph g = std::move(b.Build()).ValueOrDie();
   GraphContext ctx = BuildGraphContext(g);
   Matrix x(5, 1, 0.2f);
-  Tensor xt(x, /*requires_grad=*/true);
   ImLossConfig cfg;
   cfg.lambda = 0.1f;
-  Tensor loss = ImPenaltyLoss(ctx, xt, cfg);
-  xt.ZeroGrad();
-  loss.Backward();
+  const Matrix grad = LossPlan(ctx, x, cfg).Grads({x})[0];
   // d loss / d x_hub should be more negative than d loss / d x_leaf.
-  EXPECT_LT(xt.grad()(0, 0), xt.grad()(1, 0));
-  EXPECT_LT(xt.grad()(0, 0), 0.0f);
+  EXPECT_LT(grad(0, 0), grad(1, 0));
+  EXPECT_LT(grad(0, 0), 0.0f);
 }
 
 TEST(ImPenaltyLossTest, IgnoresSelfLoopChannel) {
@@ -154,9 +164,9 @@ TEST(ImPenaltyLossTest, IgnoresSelfLoopChannel) {
   x(1, 0) = 1.0f;  // Seed the sink; it has no out-edges.
   ImLossConfig cfg;
   cfg.lambda = 0.0f;
-  Tensor loss = ImPenaltyLoss(ctx, Tensor(x), cfg);
+  const double loss = Loss(ctx, x, cfg);
   // Nothing gets influenced: survival = 1 for both nodes.
-  EXPECT_NEAR(loss.value()(0, 0), 1.0, 1e-6);
+  EXPECT_NEAR(loss, 1.0, 1e-6);
 }
 
 }  // namespace

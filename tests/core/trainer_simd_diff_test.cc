@@ -5,8 +5,9 @@
 // reassociated reductions, so bit-identity is not the contract here —
 // instead the loss curve, the per-iteration gradient norms, and the final
 // parameters must stay within a pinned tolerance band, and the seed sets
-// the two trained models select must coincide. (The bit-identity
-// counterpart with plan_optimize=false lives in trainer_plan_test.cc.)
+// the two trained models select must coincide. (Thread-count bit-identity
+// of the reference loop is pinned by tests/runtime/determinism_test.cc,
+// and its end-to-end outputs by tests/core/pipeline_golden_test.cc.)
 
 #include <cmath>
 #include <cstdint>
@@ -69,7 +70,6 @@ TrainConfig DiffTrainConfig(size_t threads, bool optimize) {
   cfg.noise_kind = NoiseKind::kGaussian;
   cfg.noise_stddev = 0.0;         // ...noise off, so runs are comparable.
   cfg.num_threads = threads;
-  cfg.use_compiled_plan = true;
   cfg.plan_optimize = optimize;
   return cfg;
 }

@@ -6,10 +6,21 @@
 
 #include "graph/generators.h"
 #include "nn/features.h"
-#include "tensor/ops.h"
 
 namespace privim {
 namespace {
+
+// Seed probabilities from the model's Reference inference plan.
+std::vector<float> Probabilities(const GnnModel& model, const Graph& g) {
+  const GraphContext ctx = BuildGraphContext(g);
+  const GnnPlan plan = model.Compile(ctx);
+  PlanArena arena;
+  plan.Forward(model.params().values(), BuildNodeFeatures(g), arena);
+  EXPECT_EQ(plan.output_rows(), g.num_nodes());
+  EXPECT_EQ(plan.output_cols(), 1u);
+  const std::span<const float> out = plan.Output(arena);
+  return {out.begin(), out.end()};
+}
 
 TEST(ParseGnnTypeTest, AllAliases) {
   EXPECT_EQ(*ParseGnnType("gcn"), GnnType::kGcn);
@@ -36,8 +47,6 @@ TEST_P(GnnModelTest, OutputsProbabilitiesPerNode) {
   Graph g =
       std::move(ErdosRenyi(30, 0.15, /*directed=*/true, graph_rng))
           .ValueOrDie();
-  GraphContext ctx = BuildGraphContext(g);
-  Matrix features = BuildNodeFeatures(g);
 
   GnnConfig cfg;
   cfg.type = GetParam();
@@ -47,12 +56,11 @@ TEST_P(GnnModelTest, OutputsProbabilitiesPerNode) {
   Rng rng(2);
   GnnModel model(cfg, rng);
 
-  Tensor out = model.Forward(ctx, Tensor(features));
-  ASSERT_EQ(out.rows(), g.num_nodes());
-  ASSERT_EQ(out.cols(), 1u);
+  const std::vector<float> out = Probabilities(model, g);
+  ASSERT_EQ(out.size(), g.num_nodes());
   for (size_t u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_GT(out.value()(u, 0), 0.0f);
-    EXPECT_LT(out.value()(u, 0), 1.0f);
+    EXPECT_GT(out[u], 0.0f);
+    EXPECT_LT(out[u], 1.0f);
   }
 }
 
@@ -72,17 +80,19 @@ TEST_P(GnnModelTest, BackwardReachesEveryParameter) {
   Rng rng(4);
   GnnModel model(cfg, rng);
 
-  Tensor out = model.Forward(ctx, Tensor(features));
-  Tensor loss = Sum(Mul(out, out));
-  model.params().ZeroGrads();
-  loss.Backward();
+  PlanBuilder pb;
+  const PlanValId x = pb.Input(ctx.num_nodes, cfg.in_dim);
+  const PlanValId out = pb.Sigmoid(model.LowerLogits(pb, ctx, x));
+  const GnnPlan plan = pb.Build(pb.Sum(pb.Mul(out, out)));
+  PlanArena arena;
+  std::vector<float> grads(model.params().num_scalars());
+  plan.Forward(model.params().values(), features, arena);
+  plan.Backward(model.params().values(), features, arena, grads);
 
   size_t with_grad = 0;
-  for (const Tensor& p : model.params().params()) {
+  for (const ParamEntry& p : model.params().entries()) {
     double norm = 0.0;
-    for (size_t i = 0; i < p.grad().size(); ++i) {
-      norm += std::abs(p.grad().data()[i]);
-    }
+    for (size_t i = 0; i < p.size(); ++i) norm += std::abs(grads[p.offset + i]);
     if (norm > 0.0) ++with_grad;
   }
   // ReLU dead units can zero individual tensors occasionally; require the
@@ -94,8 +104,6 @@ TEST_P(GnnModelTest, SameParamsSameGraphDeterministicForward) {
   Rng graph_rng(5);
   Graph g =
       std::move(ErdosRenyi(15, 0.2, true, graph_rng)).ValueOrDie();
-  GraphContext ctx = BuildGraphContext(g);
-  Matrix features = BuildNodeFeatures(g);
   GnnConfig cfg;
   cfg.type = GetParam();
   cfg.in_dim = kNodeFeatureDim;
@@ -103,11 +111,9 @@ TEST_P(GnnModelTest, SameParamsSameGraphDeterministicForward) {
   cfg.num_layers = 2;
   Rng rng(6);
   GnnModel model(cfg, rng);
-  Tensor a = model.Forward(ctx, Tensor(features));
-  Tensor b = model.Forward(ctx, Tensor(features));
-  for (size_t u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_FLOAT_EQ(a.value()(u, 0), b.value()(u, 0));
-  }
+  const std::vector<float> a = Probabilities(model, g);
+  const std::vector<float> b = Probabilities(model, g);
+  for (size_t u = 0; u < g.num_nodes(); ++u) EXPECT_FLOAT_EQ(a[u], b[u]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackbones, GnnModelTest,
@@ -132,9 +138,7 @@ TEST(GnnModelTest, TransfersAcrossGraphSizes) {
   Rng graph_rng(8);
   for (size_t n : {10u, 50u, 200u}) {
     Graph g = std::move(ErdosRenyi(n, 0.1, true, graph_rng)).ValueOrDie();
-    GraphContext ctx = BuildGraphContext(g);
-    Tensor out = model.Forward(ctx, Tensor(BuildNodeFeatures(g)));
-    EXPECT_EQ(out.rows(), n);
+    EXPECT_EQ(Probabilities(model, g).size(), n);
   }
 }
 

@@ -1,10 +1,9 @@
 #include "nn/layers.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
-
-#include "tensor/ops.h"
 
 namespace privim {
 namespace {
@@ -23,28 +22,49 @@ Matrix Eye(size_t n) {
   return m;
 }
 
+// The layer's pre-activation output for features `x`, on a Reference plan.
+Matrix RunLayer(const GnnLayer& layer, const ParamStore& store,
+                const GraphContext& ctx, const Matrix& x) {
+  PlanBuilder pb;
+  const PlanValId in = pb.Input(x.rows(), x.cols());
+  const ExecutionPlan plan = pb.Build(layer.Lower(pb, ctx, in));
+  PlanArena arena;
+  plan.Forward(store.values(), x, arena);
+  Matrix out(plan.output_rows(), plan.output_cols());
+  const std::span<const float> v = plan.Output(arena);
+  std::copy(v.begin(), v.end(), out.data());
+  return out;
+}
+
+// Flat gradient of sum(out * out) over the layer's parameters.
+std::vector<float> SquaredOutputGrad(const GnnLayer& layer,
+                                     const ParamStore& store,
+                                     const GraphContext& ctx,
+                                     const Matrix& x) {
+  PlanBuilder pb;
+  const PlanValId out = layer.Lower(pb, ctx, pb.Input(x.rows(), x.cols()));
+  const ExecutionPlan plan = pb.Build(pb.Sum(pb.Mul(out, out)));
+  PlanArena arena;
+  std::vector<float> grads(store.num_scalars());
+  plan.Forward(store.values(), x, arena);
+  plan.Backward(store.values(), x, arena, grads);
+  return grads;
+}
+
 TEST(GcnConvTest, AggregatesWithSymmetricNorm) {
   Graph g = MakeLine();
   GraphContext ctx = BuildGraphContext(g);
   ParamStore store;
   Rng rng(1);
   GcnConv layer(3, 3, store, rng, "gcn");
-  // Identity features isolate the aggregation matrix.
-  Tensor x(Eye(3));
-  Tensor out = layer.Forward(ctx, x);
+  // Identity features isolate the aggregation matrix. W is random, so
+  // only shape and finiteness are checked here; exact coefficients are
+  // covered in graph_context_test.
+  const Matrix out = RunLayer(layer, store, ctx, Eye(3));
   EXPECT_EQ(out.rows(), 3u);
   EXPECT_EQ(out.cols(), 3u);
-  // Node 0 has no in-edges: its aggregate is only its self-loop
-  // 1/sqrt((d_out+1)(d_in+1)) = 1/sqrt(2*1) of its own features.
-  // We only check the structural zero: node 0's aggregate has no
-  // contribution from node 2's channel, i.e. out(0,·) is independent of
-  // x row 2. Verified by differentiating through MatMul instead: check
-  // the aggregation directly via a linear probe.
-  // Simpler: aggregate with W=I is impossible (W is random), so check
-  // shape and finiteness here; exact coefficients are covered in
-  // graph_context_test.
-  for (size_t i = 0; i < out.value().size(); ++i) {
-    EXPECT_TRUE(std::isfinite(out.value().data()[i]));
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(out.data()[i]));
   }
 }
 
@@ -54,8 +74,8 @@ TEST(SageConvTest, OutputShapeAndConcatSemantics) {
   ParamStore store;
   Rng rng(2);
   SageConv layer(2, 5, store, rng, "sage");
-  Tensor x(Matrix::FromRows({{1, 0}, {0, 1}, {1, 1}}));
-  Tensor out = layer.Forward(ctx, x);
+  const Matrix out =
+      RunLayer(layer, store, ctx, Matrix::FromRows({{1, 0}, {0, 1}, {1, 1}}));
   EXPECT_EQ(out.rows(), 3u);
   EXPECT_EQ(out.cols(), 5u);
   // Parameter count: W [4,5] + bias [1,5].
@@ -70,16 +90,14 @@ TEST(GinConvTest, OmegaZeroAtInit) {
   GinConv layer(2, 4, store, rng, "gin");
   // The omega parameter exists and starts at 0 (so (1+omega)=1).
   bool found = false;
-  for (size_t i = 0; i < store.num_tensors(); ++i) {
-    if (store.names()[i] == "gin.omega") {
-      EXPECT_FLOAT_EQ(store.params()[i].value()(0, 0), 0.0f);
+  for (const ParamEntry& e : store.entries()) {
+    if (e.name == "gin.omega") {
+      EXPECT_FLOAT_EQ(store.values()[e.offset], 0.0f);
       found = true;
     }
   }
   EXPECT_TRUE(found);
-  Tensor x(Matrix::Ones(3, 2));
-  Tensor out = layer.Forward(ctx, x);
-  EXPECT_EQ(out.cols(), 4u);
+  EXPECT_EQ(RunLayer(layer, store, ctx, Matrix::Ones(3, 2)).cols(), 4u);
 }
 
 TEST(GinConvTest, OmegaReceivesGradient) {
@@ -88,15 +106,13 @@ TEST(GinConvTest, OmegaReceivesGradient) {
   ParamStore store;
   Rng rng(4);
   GinConv layer(2, 4, store, rng, "gin");
-  Tensor x(Matrix::Ones(3, 2));
-  Tensor loss = Sum(layer.Forward(ctx, x));
-  store.ZeroGrads();
-  loss.Backward();
-  std::vector<float> grads(store.num_scalars());
-  store.FlattenGrads(grads);
-  double norm = 0.0;
-  for (float gv : grads) norm += std::abs(gv);
-  EXPECT_GT(norm, 0.0);
+  const std::vector<float> grads =
+      SquaredOutputGrad(layer, store, ctx, Matrix::Ones(3, 2));
+  for (const ParamEntry& e : store.entries()) {
+    if (e.name == "gin.omega") {
+      EXPECT_NE(grads[e.offset], 0.0f);
+    }
+  }
 }
 
 class AttentionConvTest
@@ -114,12 +130,12 @@ TEST_P(AttentionConvTest, AttentionWeightsNormalizeCorrectly) {
   ParamStore store;
   Rng rng(5);
   AttentionConv layer(2, 3, GetParam(), store, rng, "att");
-  Tensor x(Matrix::FromRows({{1, 2}, {-1, 0}, {0, 1}, {2, 2}}));
-  Tensor out = layer.Forward(ctx, x);
+  const Matrix out = RunLayer(
+      layer, store, ctx, Matrix::FromRows({{1, 2}, {-1, 0}, {0, 1}, {2, 2}}));
   EXPECT_EQ(out.rows(), 4u);
   EXPECT_EQ(out.cols(), 3u);
-  for (size_t i = 0; i < out.value().size(); ++i) {
-    EXPECT_TRUE(std::isfinite(out.value().data()[i]));
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(out.data()[i]));
   }
 }
 
@@ -129,17 +145,13 @@ TEST_P(AttentionConvTest, GradientsFlowToAllParams) {
   ParamStore store;
   Rng rng(6);
   AttentionConv layer(2, 3, GetParam(), store, rng, "att");
-  Tensor x(Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}}));
-  Tensor loss = Sum(Mul(layer.Forward(ctx, x), layer.Forward(ctx, x)));
-  store.ZeroGrads();
-  loss.Backward();
+  const std::vector<float> grads = SquaredOutputGrad(
+      layer, store, ctx, Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}}));
   // Every parameter tensor (W, a_src, a_dst) should receive some gradient.
-  for (const Tensor& p : store.params()) {
+  for (const ParamEntry& e : store.entries()) {
     double norm = 0.0;
-    for (size_t i = 0; i < p.grad().size(); ++i) {
-      norm += std::abs(p.grad().data()[i]);
-    }
-    EXPECT_GT(norm, 0.0);
+    for (size_t i = 0; i < e.size(); ++i) norm += std::abs(grads[e.offset + i]);
+    EXPECT_GT(norm, 0.0) << e.name;
   }
 }
 
@@ -166,13 +178,12 @@ TEST(AttentionNormDirectionTest, GatAndGratDifferOnAsymmetricGraph) {
   Rng rng_a(7), rng_b(7);
   AttentionConv gat(2, 3, AttentionNorm::kTarget, store_gat, rng_a, "a");
   AttentionConv grat(2, 3, AttentionNorm::kSource, store_grat, rng_b, "a");
-  Tensor x(Matrix::FromRows({{1, 0}, {0, 1}, {1, 1}, {2, 1}}));
-  Tensor out_gat = gat.Forward(ctx, x);
-  Tensor out_grat = grat.Forward(ctx, x);
+  const Matrix x = Matrix::FromRows({{1, 0}, {0, 1}, {1, 1}, {2, 1}});
+  const Matrix out_gat = RunLayer(gat, store_gat, ctx, x);
+  const Matrix out_grat = RunLayer(grat, store_grat, ctx, x);
   double diff = 0.0;
-  for (size_t i = 0; i < out_gat.value().size(); ++i) {
-    diff += std::abs(out_gat.value().data()[i] -
-                     out_grat.value().data()[i]);
+  for (size_t i = 0; i < out_gat.size(); ++i) {
+    diff += std::abs(out_gat.data()[i] - out_grat.data()[i]);
   }
   EXPECT_GT(diff, 1e-4);
 }

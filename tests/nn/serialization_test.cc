@@ -8,7 +8,6 @@
 
 #include "graph/generators.h"
 #include "nn/features.h"
-#include "nn/graph_context.h"
 
 namespace privim {
 namespace {
@@ -38,12 +37,14 @@ TEST(SerializationTest, RoundTripPreservesScores) {
 
   Rng graph_rng(3);
   Graph g = std::move(ErdosRenyi(25, 0.2, true, graph_rng)).ValueOrDie();
-  GraphContext ctx = BuildGraphContext(g);
-  Matrix x = BuildNodeFeatures(g);
-  Tensor a = model.ForwardLogits(ctx, Tensor(x));
-  Tensor b = loaded.ForwardLogits(ctx, Tensor(x));
+  const std::vector<float> a =
+      std::move(InferSeedLogits(model, g, PlanOptions::Reference()))
+          .ValueOrDie();
+  const std::vector<float> b =
+      std::move(InferSeedLogits(loaded, g, PlanOptions::Reference()))
+          .ValueOrDie();
   for (size_t u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_NEAR(a.value()(u, 0), b.value()(u, 0), 1e-5) << "node " << u;
+    EXPECT_NEAR(a[u], b[u], 1e-5) << "node " << u;
   }
   std::remove(path.c_str());
 }

@@ -1,162 +1,220 @@
-#include "tensor/ops.h"
+// Hand-computed forward values of every plan op, each on a single-op
+// Reference plan (tensor/plan.h).
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "plan_test_util.h"
 
 namespace privim {
 namespace {
 
+using plan_test::Eval;
+using Ids = std::vector<PlanValId>;
+
 TEST(OpsTest, MatMulForward) {
-  Tensor a(Matrix::FromRows({{1, 2}, {3, 4}}));
-  Tensor b(Matrix::FromRows({{5, 6}, {7, 8}}));
-  Tensor c = MatMul(a, b);
-  EXPECT_FLOAT_EQ(c.value()(0, 0), 19.0f);
-  EXPECT_FLOAT_EQ(c.value()(1, 1), 50.0f);
+  const Matrix c = Eval({Matrix::FromRows({{1, 2}, {3, 4}}),
+                         Matrix::FromRows({{5, 6}, {7, 8}})},
+                        [](PlanBuilder& pb, const Ids& l) {
+                          return pb.MatMul(l[0], l[1]);
+                        });
+  EXPECT_FLOAT_EQ(c(0, 0), 19.0f);
+  EXPECT_FLOAT_EQ(c(1, 1), 50.0f);
 }
 
 TEST(OpsTest, AddSubMulForward) {
-  Tensor a(Matrix::FromRows({{1, 2}}));
-  Tensor b(Matrix::FromRows({{10, 20}}));
-  EXPECT_FLOAT_EQ(Add(a, b).value()(0, 1), 22.0f);
-  EXPECT_FLOAT_EQ(Sub(b, a).value()(0, 0), 9.0f);
-  EXPECT_FLOAT_EQ(Mul(a, b).value()(0, 1), 40.0f);
+  const std::vector<Matrix> ab{Matrix::FromRows({{1, 2}}),
+                               Matrix::FromRows({{10, 20}})};
+  EXPECT_FLOAT_EQ(Eval(ab,
+                       [](PlanBuilder& pb, const Ids& l) {
+                         return pb.Add(l[0], l[1]);
+                       })(0, 1),
+                  22.0f);
+  // b - a, as b + (-1) * a.
+  EXPECT_FLOAT_EQ(Eval(ab,
+                       [](PlanBuilder& pb, const Ids& l) {
+                         return pb.Add(l[1], pb.Scale(l[0], -1.0f));
+                       })(0, 0),
+                  9.0f);
+  EXPECT_FLOAT_EQ(Eval(ab,
+                       [](PlanBuilder& pb, const Ids& l) {
+                         return pb.Mul(l[0], l[1]);
+                       })(0, 1),
+                  40.0f);
 }
 
 TEST(OpsTest, AddRowBroadcastForward) {
-  Tensor x(Matrix::FromRows({{1, 2}, {3, 4}}));
-  Tensor bias(Matrix::FromRows({{10, 20}}));
-  Tensor y = AddRowBroadcast(x, bias);
-  EXPECT_FLOAT_EQ(y.value()(0, 0), 11.0f);
-  EXPECT_FLOAT_EQ(y.value()(1, 1), 24.0f);
+  const Matrix y = Eval({Matrix::FromRows({{1, 2}, {3, 4}}),
+                         Matrix::FromRows({{10, 20}})},
+                        [](PlanBuilder& pb, const Ids& l) {
+                          return pb.AddRowBroadcast(l[0], l[1]);
+                        });
+  EXPECT_FLOAT_EQ(y(0, 0), 11.0f);
+  EXPECT_FLOAT_EQ(y(1, 1), 24.0f);
 }
 
 TEST(OpsTest, ScaleAndAddScalar) {
-  Tensor x(Matrix::FromRows({{2, -2}}));
-  EXPECT_FLOAT_EQ(Scale(x, -0.5f).value()(0, 0), -1.0f);
-  EXPECT_FLOAT_EQ(AddScalar(x, 3.0f).value()(0, 1), 1.0f);
+  const std::vector<Matrix> x{Matrix::FromRows({{2, -2}})};
+  EXPECT_FLOAT_EQ(Eval(x,
+                       [](PlanBuilder& pb, const Ids& l) {
+                         return pb.Scale(l[0], -0.5f);
+                       })(0, 0),
+                  -1.0f);
+  EXPECT_FLOAT_EQ(Eval(x,
+                       [](PlanBuilder& pb, const Ids& l) {
+                         return pb.AddScalar(l[0], 3.0f);
+                       })(0, 1),
+                  1.0f);
 }
 
 TEST(OpsTest, ScaleByScalarForward) {
-  Tensor x(Matrix::FromRows({{1, 2}}));
-  Tensor s = Tensor::Scalar(3.0f);
-  Tensor y = ScaleByScalar(x, s);
-  EXPECT_FLOAT_EQ(y.value()(0, 1), 6.0f);
+  const Matrix y = Eval({Matrix::FromRows({{1, 2}}), Matrix(1, 1, 3.0f)},
+                        [](PlanBuilder& pb, const Ids& l) {
+                          return pb.ScaleByScalar(l[0], l[1]);
+                        });
+  EXPECT_FLOAT_EQ(y(0, 1), 6.0f);
 }
 
 TEST(OpsTest, ConcatColsForward) {
-  Tensor a(Matrix::FromRows({{1}, {2}}));
-  Tensor b(Matrix::FromRows({{3, 4}, {5, 6}}));
-  Tensor c = ConcatCols(a, b);
+  const Matrix c = Eval({Matrix::FromRows({{1}, {2}}),
+                         Matrix::FromRows({{3, 4}, {5, 6}})},
+                        [](PlanBuilder& pb, const Ids& l) {
+                          return pb.ConcatCols(l[0], l[1]);
+                        });
   EXPECT_EQ(c.cols(), 3u);
-  EXPECT_FLOAT_EQ(c.value()(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(c.value()(1, 2), 6.0f);
+  EXPECT_FLOAT_EQ(c(0, 0), 1.0f);
+  EXPECT_FLOAT_EQ(c(1, 2), 6.0f);
 }
 
 TEST(OpsTest, ActivationsForward) {
-  Tensor x(Matrix::FromRows({{-2, 0, 2}}));
-  Tensor r = Relu(x);
-  EXPECT_FLOAT_EQ(r.value()(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(r.value()(0, 2), 2.0f);
-  Tensor l = LeakyRelu(x, 0.1f);
-  EXPECT_FLOAT_EQ(l.value()(0, 0), -0.2f);
-  EXPECT_FLOAT_EQ(l.value()(0, 2), 2.0f);
-  Tensor s = SigmoidOp(x);
-  EXPECT_NEAR(s.value()(0, 1), 0.5f, 1e-6);
-  EXPECT_NEAR(s.value()(0, 0) + s.value()(0, 2), 1.0f, 1e-6);
-  Tensor t = TanhOp(x);
-  EXPECT_NEAR(t.value()(0, 2), std::tanh(2.0f), 1e-6);
-  Tensor e = ExpOp(x);
-  EXPECT_NEAR(e.value()(0, 2), std::exp(2.0f), 1e-4);
-  Tensor lg = LogOp(e);
-  EXPECT_NEAR(lg.value()(0, 2), 2.0f, 1e-4);
+  const std::vector<Matrix> x{Matrix::FromRows({{-2, 0, 2}})};
+  const Matrix r = Eval(
+      x, [](PlanBuilder& pb, const Ids& l) { return pb.Relu(l[0]); });
+  EXPECT_FLOAT_EQ(r(0, 0), 0.0f);
+  EXPECT_FLOAT_EQ(r(0, 2), 2.0f);
+  const Matrix lr = Eval(x, [](PlanBuilder& pb, const Ids& l) {
+    return pb.LeakyRelu(l[0], 0.1f);
+  });
+  EXPECT_FLOAT_EQ(lr(0, 0), -0.2f);
+  EXPECT_FLOAT_EQ(lr(0, 2), 2.0f);
+  const Matrix s = Eval(
+      x, [](PlanBuilder& pb, const Ids& l) { return pb.Sigmoid(l[0]); });
+  EXPECT_NEAR(s(0, 1), 0.5f, 1e-6);
+  EXPECT_NEAR(s(0, 0) + s(0, 2), 1.0f, 1e-6);
 }
 
 TEST(OpsTest, InfluenceProbRangeAndMonotonicity) {
-  Tensor x(Matrix::FromRows({{-1, 0, 0.5, 1, 3, 10}}));
-  Tensor p = InfluenceProb(x);
+  const Matrix p = Eval({Matrix::FromRows({{-1, 0, 0.5, 1, 3, 10}})},
+                        [](PlanBuilder& pb, const Ids& l) {
+                          return pb.InfluenceProb(l[0]);
+                        });
   // Range [0, 1).
   for (size_t c = 0; c < 6; ++c) {
-    EXPECT_GE(p.value()(0, c), 0.0f);
-    EXPECT_LT(p.value()(0, c), 1.0f);
+    EXPECT_GE(p(0, c), 0.0f);
+    EXPECT_LT(p(0, c), 1.0f);
   }
-  EXPECT_FLOAT_EQ(p.value()(0, 0), 0.0f);  // Negative input clamps to 0.
-  EXPECT_FLOAT_EQ(p.value()(0, 1), 0.0f);
+  EXPECT_FLOAT_EQ(p(0, 0), 0.0f);  // Negative input clamps to 0.
+  EXPECT_FLOAT_EQ(p(0, 1), 0.0f);
   // Monotone increasing.
-  for (size_t c = 2; c < 6; ++c) {
-    EXPECT_GT(p.value()(0, c), p.value()(0, c - 1));
-  }
-  EXPECT_NEAR(p.value()(0, 3), 1.0f - std::exp(-1.0f), 1e-6);
+  for (size_t c = 2; c < 6; ++c) EXPECT_GT(p(0, c), p(0, c - 1));
+  EXPECT_NEAR(p(0, 3), 1.0f - std::exp(-1.0f), 1e-6);
 }
 
 TEST(OpsTest, ReductionsForward) {
-  Tensor x(Matrix::FromRows({{1, 2}, {3, 4}}));
-  EXPECT_FLOAT_EQ(Sum(x).value()(0, 0), 10.0f);
-  EXPECT_FLOAT_EQ(MeanAll(x).value()(0, 0), 2.5f);
-  Tensor rs = RowSum(x);
+  const std::vector<Matrix> x{Matrix::FromRows({{1, 2}, {3, 4}}),
+                              Matrix::Ones(2, 1)};
+  EXPECT_FLOAT_EQ(Eval(x,
+                       [](PlanBuilder& pb, const Ids& l) {
+                         return pb.Sum(l[0]);
+                       })(0, 0),
+                  10.0f);
+  EXPECT_FLOAT_EQ(Eval(x,
+                       [](PlanBuilder& pb, const Ids& l) {
+                         return pb.MeanAll(l[0]);
+                       })(0, 0),
+                  2.5f);
+  // Row sums as x * ones.
+  const Matrix rs = Eval(
+      x, [](PlanBuilder& pb, const Ids& l) { return pb.MatMul(l[0], l[1]); });
   EXPECT_EQ(rs.rows(), 2u);
-  EXPECT_FLOAT_EQ(rs.value()(0, 0), 3.0f);
-  EXPECT_FLOAT_EQ(rs.value()(1, 0), 7.0f);
+  EXPECT_FLOAT_EQ(rs(0, 0), 3.0f);
+  EXPECT_FLOAT_EQ(rs(1, 0), 7.0f);
 }
 
 TEST(OpsTest, GatherRowsForward) {
-  Tensor x(Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}}));
-  Tensor g = GatherRows(x, {2, 0, 2});
+  const std::vector<uint32_t> idx{2, 0, 2};
+  const Matrix g = Eval({Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}})},
+                        [&](PlanBuilder& pb, const Ids& l) {
+                          return pb.GatherRows(l[0], idx);
+                        });
   EXPECT_EQ(g.rows(), 3u);
-  EXPECT_FLOAT_EQ(g.value()(0, 0), 5.0f);
-  EXPECT_FLOAT_EQ(g.value()(1, 1), 2.0f);
-  EXPECT_FLOAT_EQ(g.value()(2, 1), 6.0f);
+  EXPECT_FLOAT_EQ(g(0, 0), 5.0f);
+  EXPECT_FLOAT_EQ(g(1, 1), 2.0f);
+  EXPECT_FLOAT_EQ(g(2, 1), 6.0f);
 }
 
 TEST(OpsTest, ScatterAddRowsForward) {
   // Edges: 0->1 (coef 2), 2->1 (coef 1), 1->0 (coef 0.5).
-  Tensor x(Matrix::FromRows({{1, 0}, {0, 1}, {2, 2}}));
-  Tensor y = ScatterAddRows(x, {0, 2, 1}, {1, 1, 0}, {2.0f, 1.0f, 0.5f}, 3);
-  EXPECT_FLOAT_EQ(y.value()(1, 0), 2.0f * 1.0f + 1.0f * 2.0f);  // 4
-  EXPECT_FLOAT_EQ(y.value()(1, 1), 2.0f * 0.0f + 1.0f * 2.0f);  // 2
-  EXPECT_FLOAT_EQ(y.value()(0, 1), 0.5f);
-  EXPECT_FLOAT_EQ(y.value()(2, 0), 0.0f);
+  const std::vector<uint32_t> src{0, 2, 1};
+  const std::vector<uint32_t> dst{1, 1, 0};
+  const std::vector<float> coef{2.0f, 1.0f, 0.5f};
+  const Matrix y = Eval({Matrix::FromRows({{1, 0}, {0, 1}, {2, 2}})},
+                        [&](PlanBuilder& pb, const Ids& l) {
+                          return pb.ScatterAddRows(l[0], src, dst, coef, 3);
+                        });
+  EXPECT_FLOAT_EQ(y(1, 0), 2.0f * 1.0f + 1.0f * 2.0f);  // 4
+  EXPECT_FLOAT_EQ(y(1, 1), 2.0f * 0.0f + 1.0f * 2.0f);  // 2
+  EXPECT_FLOAT_EQ(y(0, 1), 0.5f);
+  EXPECT_FLOAT_EQ(y(2, 0), 0.0f);
 }
 
 TEST(OpsTest, WeightedScatterAddForwardMatchesConstantVersion) {
-  Tensor x(Matrix::FromRows({{1, 2}, {3, 4}}));
   const std::vector<uint32_t> src{0, 1};
   const std::vector<uint32_t> dst{1, 0};
-  Tensor alpha(Matrix::FromRows({{0.5f}, {2.0f}}));
-  Tensor a = WeightedScatterAddRows(alpha, x, src, dst, 2);
-  Tensor b = ScatterAddRows(x, src, dst, {0.5f, 2.0f}, 2);
+  const std::vector<float> coef{0.5f, 2.0f};
+  const std::vector<Matrix> leaves{Matrix::FromRows({{1, 2}, {3, 4}}),
+                                   Matrix::FromRows({{0.5f}, {2.0f}})};
+  const Matrix a = Eval(leaves, [&](PlanBuilder& pb, const Ids& l) {
+    return pb.WeightedScatterAddRows(l[1], l[0], src, dst, 2);
+  });
+  const Matrix b = Eval(leaves, [&](PlanBuilder& pb, const Ids& l) {
+    return pb.ScatterAddRows(l[0], src, dst, coef, 2);
+  });
   for (size_t r = 0; r < 2; ++r) {
-    for (size_t c = 0; c < 2; ++c) {
-      EXPECT_FLOAT_EQ(a.value()(r, c), b.value()(r, c));
-    }
+    for (size_t c = 0; c < 2; ++c) EXPECT_FLOAT_EQ(a(r, c), b(r, c));
   }
+}
+
+Matrix Softmax(const Matrix& scores, const std::vector<uint32_t>& group,
+               size_t num_groups) {
+  return Eval({scores}, [&](PlanBuilder& pb, const Ids& l) {
+    return pb.SegmentSoftmax(l[0], group, num_groups);
+  });
 }
 
 TEST(OpsTest, SegmentSoftmaxNormalizesPerGroup) {
   // Groups: edges {0,1} in group 0, edges {2,3,4} in group 1.
-  Tensor scores(Matrix::FromRows({{1}, {2}, {-1}, {0}, {1}}));
-  Tensor alpha = SegmentSoftmax(scores, {0, 0, 1, 1, 1}, 2);
-  EXPECT_NEAR(alpha.value()(0, 0) + alpha.value()(1, 0), 1.0f, 1e-6);
-  EXPECT_NEAR(alpha.value()(2, 0) + alpha.value()(3, 0) +
-                  alpha.value()(4, 0),
-              1.0f, 1e-6);
+  const Matrix alpha = Softmax(Matrix::FromRows({{1}, {2}, {-1}, {0}, {1}}),
+                               {0, 0, 1, 1, 1}, 2);
+  EXPECT_NEAR(alpha(0, 0) + alpha(1, 0), 1.0f, 1e-6);
+  EXPECT_NEAR(alpha(2, 0) + alpha(3, 0) + alpha(4, 0), 1.0f, 1e-6);
   // Larger score gets larger weight within its group.
-  EXPECT_GT(alpha.value()(1, 0), alpha.value()(0, 0));
-  EXPECT_GT(alpha.value()(4, 0), alpha.value()(2, 0));
+  EXPECT_GT(alpha(1, 0), alpha(0, 0));
+  EXPECT_GT(alpha(4, 0), alpha(2, 0));
 }
 
 TEST(OpsTest, SegmentSoftmaxStableForLargeScores) {
-  Tensor scores(Matrix::FromRows({{1000}, {1001}}));
-  Tensor alpha = SegmentSoftmax(scores, {0, 0}, 1);
-  EXPECT_TRUE(std::isfinite(alpha.value()(0, 0)));
-  EXPECT_NEAR(alpha.value()(0, 0) + alpha.value()(1, 0), 1.0f, 1e-6);
+  const Matrix alpha = Softmax(Matrix::FromRows({{1000}, {1001}}), {0, 0}, 1);
+  EXPECT_TRUE(std::isfinite(alpha(0, 0)));
+  EXPECT_NEAR(alpha(0, 0) + alpha(1, 0), 1.0f, 1e-6);
 }
 
 TEST(OpsTest, SegmentSoftmaxEmptyGroupYieldsNoNan) {
   // Group 1 has no edges; group 0 gets everything.
-  Tensor scores(Matrix::FromRows({{0}, {0}}));
-  Tensor alpha = SegmentSoftmax(scores, {0, 0}, 2);
-  EXPECT_NEAR(alpha.value()(0, 0), 0.5f, 1e-6);
+  const Matrix alpha = Softmax(Matrix::FromRows({{0}, {0}}), {0, 0}, 2);
+  EXPECT_NEAR(alpha(0, 0), 0.5f, 1e-6);
 }
 
 }  // namespace

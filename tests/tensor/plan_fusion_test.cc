@@ -3,15 +3,17 @@
 //  - op-count reduction on the real training plans of every GnnType;
 //  - fusion alone (scalar kernels) stays BIT-identical to the reference
 //    plan — the fused sweep applies the same scalar arithmetic per
-//    element, so this suite compares exact bit patterns, like
-//    plan_equivalence_test.cc does for plan-vs-tape;
+//    element, so this suite compares exact bit patterns;
 //  - group-formation guards: no fusion across non-elementwise ops
 //    (MatMul and its scratch_db staging), no fusion past an in-group
 //    operand (aliasing), kMaxFuseLen splitting;
 //  - write elision: values observed by nothing outside their group are
 //    skipped, values read by a backward pass are not;
 //  - fused + SIMD plans re-executed on a warm arena are bit-identical to
-//    their own first run (steady-state determinism).
+//    their own first run (steady-state determinism);
+//  - arena layout: a forward-only execution sizes only the forward prefix
+//    (no gradient buffers), and a Backward that grows it later matches a
+//    pre-grown arena bitwise.
 
 #include <cstring>
 #include <string>
@@ -287,6 +289,43 @@ TEST(PlanFusionTest, FusedSimdPlanWarmArenaBitStable) {
       ExpectBitEqualScalar(plan.OutputScalar(arena), loss1, "warm loss");
       plan.Backward(params, s.features, arena, g2);
       ExpectBitEqual(g2, g1, "warm gradients");
+    }
+  }
+}
+
+// The arena is laid out as activations + forward scratch, then gradient
+// buffers, then backward scratch: Forward sizes only the prefix, so
+// inference (snapshot builds, evaluation) never allocates gradient
+// storage. A Backward that follows on the same arena grows it in place and
+// must match a Forward + Backward on a pre-grown arena bit for bit.
+TEST(PlanFusionTest, ForwardOnlyArenaHoldsNoGradientBuffers) {
+  for (GnnType type : {GnnType::kGrat, GnnType::kGin}) {
+    for (const PlanOptions& opts :
+         {PlanOptions::Reference(), PlanOptions::Native()}) {
+      SCOPED_TRACE(GnnTypeName(type) +
+                   (opts.fuse_elementwise ? " native" : " reference"));
+      const TrainingSetup s = MakeSetup(17, 5000);
+      const GnnModel model = MakeModel(type, 5001);
+      const std::vector<float> params = FlatParams(model);
+      const GnnPlan plan =
+          CompileTrainingPlan(model, s.ctx, s.loss_cfg, opts);
+      ASSERT_LT(plan.forward_arena_size(), plan.arena_size());
+
+      PlanArena fresh;
+      plan.Forward(params, s.features, fresh);
+      EXPECT_EQ(fresh.f.size(), plan.forward_arena_size());
+      const float loss = plan.OutputScalar(fresh);
+      std::vector<float> grown_grads(params.size());
+      plan.Backward(params, s.features, fresh, grown_grads);
+      EXPECT_EQ(fresh.f.size(), plan.arena_size());
+
+      PlanArena pregrown;
+      pregrown.f.assign(plan.arena_size(), 7.0f);
+      std::vector<float> grads(params.size());
+      plan.Forward(params, s.features, pregrown);
+      ExpectBitEqualScalar(plan.OutputScalar(pregrown), loss, "loss");
+      plan.Backward(params, s.features, pregrown, grads);
+      ExpectBitEqual(grown_grads, grads, "gradients");
     }
   }
 }
