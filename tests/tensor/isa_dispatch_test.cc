@@ -170,7 +170,7 @@ TEST(IsaDispatchTest, AllAvailableTiersAgreeWithinTolerance) {
     std::vector<float> params(dim);
     model.params().FlattenParams(params);
 
-    // Scalar reference (unfused — the tape-bit-identical baseline).
+    // Scalar reference (unfused — the oracle every tier is held to).
     const GnnPlan ref =
         CompileTrainingPlan(model, ctx, loss_cfg, PlanOptions::Reference());
     PlanArena ra;

@@ -2,8 +2,9 @@
 # Builds the project with AddressSanitizer (-DPRIVIM_SANITIZE=address) and
 # runs the memory-relevant test binaries: the obs metrics/telemetry suite,
 # the sampler and seed-selection regression tests, and the compiled-plan
-# differential suites (plan_test), whose arena indexing and in-place
-# backward schedules are exactly the kind of raw-offset code ASan is for.
+# gradcheck and single-op suites (plan_test), whose arena indexing and
+# in-place backward schedules are exactly the kind of raw-offset code ASan
+# is for.
 #
 # The sampler tests include the restrict_to out-of-bounds regressions
 # (FreqSampler/RwrSampler used to index per-node vectors with unvalidated

@@ -123,8 +123,8 @@ BUILD_DIR=build-tsan tools/run_tsan.sh
 echo "== stage 5/5: UndefinedBehaviorSanitizer (SIMD + plan suites) =="
 # -fno-sanitize-recover=undefined (CMakeLists.txt) makes any UB finding
 # fatal. simd_test covers the vector kernels' tail handling on every tier
-# the host supports plus the fused executor; plan_test re-proves the
-# scalar bit-identity contract under instrumentation.
+# the host supports plus the fused executor; plan_test re-runs the plan
+# gradchecks and single-op suites under instrumentation.
 cmake -B build-ubsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPRIVIM_SANITIZE=undefined \

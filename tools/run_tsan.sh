@@ -21,7 +21,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DPRIVIM_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target runtime_test core_test sampling_test sampling_properties_test \
-  im_test plan_test serve_test shard_test stream_test
+  im_test simd_test serve_test shard_test stream_test
 
 export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1}
 export PRIVIM_THREADS=${PRIVIM_THREADS:-4}
@@ -30,7 +30,7 @@ export PRIVIM_THREADS=${PRIVIM_THREADS:-4}
 "$BUILD_DIR/tests/core_test" --gtest_filter='Trainer*'
 # One read-only plan shared by 8 workers, each with a private arena slot —
 # the sharing contract TSan exists to check.
-"$BUILD_DIR/tests/plan_test" --gtest_filter='*TrainerPlanTest*'
+"$BUILD_DIR/tests/simd_test" --gtest_filter='*TrainerSimdDiff*'
 "$BUILD_DIR/tests/sampling_test" \
   --gtest_filter='SamplerDeterminism*:FreqSampler*:RwrSampler*:GoldenDeterminism*'
 "$BUILD_DIR/tests/sampling_properties_test"
