@@ -64,7 +64,8 @@ int main() {
 
   // 3. RR-sketch estimate on the same weighted graph (scalable unbiased
   //    estimator; also yields an alternative ground-truth seed set).
-  Result<RrSketch> sketch_or = RrSketch::Generate(*wc_or, 5000, eval_rng);
+  Result<RrSketch> sketch_or =
+      RrSketch::Generate(*wc_or, 5000, /*max_steps=*/-1, eval_rng);
   if (!sketch_or.ok()) {
     std::cerr << sketch_or.status() << "\n";
     return 1;

@@ -11,22 +11,33 @@
 namespace privim {
 namespace {
 
-/// One reverse-BFS RR sample into ws.nodes. The view's in-edge merge
-/// presents sources in the same ascending order as the compacted CSR row,
-/// so the per-in-edge Bernoulli draw sequence — and therefore the set —
-/// is bit-identical whether the view wraps a plain graph, an overlay, or
-/// the overlay's compaction.
-void BuildOneRrSet(const GraphView& g, size_t num_nodes, Rng& set_rng,
-                   Workspace& ws) {
+/// One reverse-BFS RR sample into ws.nodes; returns the length of its
+/// expanded prefix. Only nodes at depth < max_steps (all of them when
+/// max_steps < 0) have their in-edges walked, so nodes at depth max_steps
+/// consume no draws. The view's in-edge merge presents sources in the same
+/// ascending order as the compacted CSR row, so the per-in-edge Bernoulli
+/// draw sequence — and therefore the set — is bit-identical whether the
+/// view wraps a plain graph, an overlay, or the overlay's compaction.
+size_t BuildOneRrSet(const GraphView& g, size_t num_nodes, int max_steps,
+                     Rng& set_rng, Workspace& ws) {
   const NodeId target = static_cast<NodeId>(set_rng.UniformInt(num_nodes));
   // Reverse BFS along *in*-edges; each edge is live independently with its
   // IC probability (deferred live-edge sampling). ws.nodes doubles as the
-  // FIFO frontier, consumed through a cursor.
+  // FIFO frontier, consumed through a cursor; FIFO order keeps the nodes
+  // in nondecreasing depth, so the expanded nodes form a prefix.
   ws.nodes.clear();
   ws.nodes.push_back(target);
   ws.visited.Reset(num_nodes);
   ws.visited.Insert(target);
-  for (size_t cursor = 0; cursor < ws.nodes.size(); ++cursor) {
+  int depth = 0;
+  size_t depth_end = 1;  // One past the last node at `depth`.
+  size_t cursor = 0;
+  for (; cursor < ws.nodes.size(); ++cursor) {
+    if (cursor == depth_end) {
+      ++depth;
+      depth_end = ws.nodes.size();
+    }
+    if (max_steps >= 0 && depth >= max_steps) break;
     const NodeId v = ws.nodes[cursor];
     g.ForEachInEdge(v, [&ws, &set_rng](NodeId u, float w) {
       if (!ws.visited.Contains(u) && set_rng.Bernoulli(w)) {
@@ -35,6 +46,7 @@ void BuildOneRrSet(const GraphView& g, size_t num_nodes, Rng& set_rng,
       }
     });
   }
+  return cursor;
 }
 
 Status ValidateGenerateArgs(const GraphView& g, size_t count) {
@@ -54,38 +66,42 @@ Status ValidateGenerateArgs(const GraphView& g, size_t count) {
 
 }  // namespace
 
-Result<RrSketch> RrSketch::Generate(const Graph& g, size_t count, Rng& rng,
+Result<RrSketch> RrSketch::Generate(const Graph& g, size_t count,
+                                    int max_steps, Rng& rng,
                                     size_t num_threads) {
-  return Generate(GraphView(g), count, rng, num_threads);
+  return Generate(GraphView(g), count, max_steps, rng, num_threads);
 }
 
 Result<RrSketch> RrSketch::Generate(const GraphView& g, size_t count,
-                                    Rng& rng, size_t num_threads) {
+                                    int max_steps, Rng& rng,
+                                    size_t num_threads) {
   // Validate before constructing the streams: the parent draw is consumed
   // only on (potential) success, as the pre-GraphView implementation did.
   PRIVIM_RETURN_NOT_OK(ValidateGenerateArgs(g, count));
   RngStreams streams(rng);
-  return GenerateImpl(g, count, streams.base_key(), num_threads);
+  return GenerateImpl(g, count, max_steps, streams.base_key(), num_threads);
 }
 
 Result<RrSketch> RrSketch::Regenerate(const GraphView& g, size_t count,
-                                      uint64_t stream_base,
+                                      int max_steps, uint64_t stream_base,
                                       size_t num_threads) {
-  return GenerateImpl(g, count, stream_base, num_threads);
+  return GenerateImpl(g, count, max_steps, stream_base, num_threads);
 }
 
 Result<RrSketch> RrSketch::GenerateImpl(const GraphView& g, size_t count,
-                                        uint64_t stream_base,
+                                        int max_steps, uint64_t stream_base,
                                         size_t num_threads) {
   PRIVIM_RETURN_NOT_OK(ValidateGenerateArgs(g, count));
   RrSketch sketch;
   sketch.num_nodes_ = g.num_nodes();
+  sketch.max_steps_ = max_steps < 0 ? -1 : max_steps;
   sketch.stream_base_ = stream_base;
   sketch.sets_.resize(count);
+  sketch.expanded_.resize(count);
 
   // RR sets are independent given their child streams; the inverted index
   // is built serially in set order below, so the sketch is a pure function
-  // of (graph, stream_base) regardless of the thread count.
+  // of (graph, max_steps, stream_base) regardless of the thread count.
   std::vector<uint32_t> all_sets(count);
   for (size_t s = 0; s < count; ++s) all_sets[s] = static_cast<uint32_t>(s);
   sketch.RebuildSets(g, all_sets, num_threads);
@@ -112,7 +128,8 @@ void RrSketch::RebuildSets(const GraphView& g,
         const uint32_t s = set_ids[i];
         Rng set_rng = streams.Stream(s);
         Workspace& ws = workspaces.Acquire(slot);
-        BuildOneRrSet(g, num_nodes, set_rng, ws);
+        expanded_[s] = static_cast<uint32_t>(
+            BuildOneRrSet(g, num_nodes, max_steps_, set_rng, ws));
         sets_[s].assign(ws.nodes.begin(), ws.nodes.end());
       });
 }
@@ -137,28 +154,29 @@ Result<size_t> RrSketch::Repair(const GraphView& g,
     // change shifts all of them, so the only stream-faithful repair is a
     // full rebuild from the original base key.
     Result<RrSketch> rebuilt =
-        Regenerate(g, sets_.size(), stream_base_, num_threads);
+        Regenerate(g, sets_.size(), max_steps_, stream_base_, num_threads);
     PRIVIM_RETURN_NOT_OK(rebuilt.status());
     *this = std::move(rebuilt).ValueOrDie();
     return sets_.size();
   }
   if (changed_in_rows.empty()) return size_t{0};
 
-  std::vector<uint8_t> changed(num_nodes_, 0);
+  changed_.Reset(num_nodes_);
   for (NodeId v : changed_in_rows) {
     if (v >= num_nodes_) {
       return Status::OutOfRange(StrFormat(
           "changed in-row %u out of range for %zu nodes", v, num_nodes_));
     }
-    changed[v] = 1;
+    changed_.Insert(v);
   }
-  // A set replays its draws identically unless it visited a node whose
-  // in-row changed (rr_sets.h has the argument), so those are exactly the
-  // sets to regenerate.
+  // A set replays its draws identically unless one of its expanded nodes
+  // had its in-row changed (rr_sets.h has the argument), so those are
+  // exactly the sets to regenerate.
   std::vector<uint32_t> dirty;
   for (size_t s = 0; s < sets_.size(); ++s) {
-    for (NodeId u : sets_[s]) {
-      if (changed[u]) {
+    const std::span<const NodeId> read(sets_[s].data(), expanded_[s]);
+    for (NodeId u : read) {
+      if (changed_.Contains(u)) {
         dirty.push_back(static_cast<uint32_t>(s));
         break;
       }

@@ -23,16 +23,26 @@ namespace privim {
 /// w=1/j=1 setting; the RR machinery provides the general-weight ground
 /// truth (and a scalability baseline) for everything else.
 
-/// A collection of RR sets over a fixed graph.
+/// A collection of RR sets over a fixed graph, drawn at one step horizon.
+///
+/// Step horizon j (`max_steps`): the reverse BFS expands only the nodes at
+/// depth < j, so an RR set holds the nodes with a live path of at most j
+/// arcs to its target, and |V| * Pr[hit] is the j-step truncated IC spread
+/// (activation time in IC equals live-edge BFS distance from the seeds;
+/// the j-hop truncation of Borgs et al., SODA'14). At j = 1 a set is its
+/// target plus the target's live in-neighbours; on unit weights the
+/// estimate is then the paper's 1-step coverage |S ∪ N_out(S)|. A negative
+/// j means unbounded: full-length IC cascades.
 class RrSketch {
  public:
-  /// Samples `count` RR sets of `g` (must have at least one node) under
-  /// full-length IC cascades. Consumes exactly one draw of `rng` (a
-  /// substream base key); RR set s draws its target and its reverse BFS
-  /// from its own child stream and sets are committed in index order, so
-  /// the sketch is bit-identical for every `num_threads` (0 = global
-  /// runtime default).
-  static Result<RrSketch> Generate(const Graph& g, size_t count, Rng& rng,
+  /// Samples `count` RR sets of `g` (must have at least one node) at step
+  /// horizon `max_steps` (negative = unbounded). Consumes exactly one draw
+  /// of `rng` (a substream base key); RR set s draws its target and its
+  /// reverse BFS from its own child stream and sets are committed in index
+  /// order, so the sketch is bit-identical for every `num_threads` (0 =
+  /// global runtime default).
+  static Result<RrSketch> Generate(const Graph& g, size_t count,
+                                   int max_steps, Rng& rng,
                                    size_t num_threads = 0);
 
   /// As above over a GraphView (base graph + optional GraphDelta overlay).
@@ -40,14 +50,15 @@ class RrSketch {
   /// the compacted graph would, so the sketch is bit-identical to
   /// generating on `GraphDelta::Compact()`'s output with the same rng.
   static Result<RrSketch> Generate(const GraphView& g, size_t count,
-                                   Rng& rng, size_t num_threads = 0);
+                                   int max_steps, Rng& rng,
+                                   size_t num_threads = 0);
 
   /// Rebuilds a sketch from a saved `stream_base()` WITHOUT consuming a
   /// parent draw — the checkpoint/resume path, and the reference
   /// "from-scratch rebuild at the same RNG stream" the incremental Repair
   /// below is tested bit-identical against.
   static Result<RrSketch> Regenerate(const GraphView& g, size_t count,
-                                     uint64_t stream_base,
+                                     int max_steps, uint64_t stream_base,
                                      size_t num_threads = 0);
 
   /// Incrementally repairs the sketch after the viewed graph changed.
@@ -55,14 +66,17 @@ class RrSketch {
   /// graph this sketch was generated (or last repaired) on.
   ///
   /// Invalidation rule (docs/streaming.md): RR set s consumes RNG draws
-  /// only for the in-edges of its visited nodes, in visit order, from its
-  /// private child stream `FromStreamKey(stream_base, s)`. A set is
-  /// therefore stale iff it contains a node whose in-row changed — new
-  /// arcs into an unvisited node cannot affect it, and untouched sets
-  /// replay their draws identically. Stale sets are regenerated from
-  /// their original child streams, so the repaired sketch is bit-identical
-  /// to Regenerate(g, num_sets, stream_base) from scratch. A node-count
-  /// change rebuilds everything (every set's target draw shifts).
+  /// only for the in-edges of its *expanded* nodes (depth < max_steps), in
+  /// visit order, from its private child stream
+  /// `FromStreamKey(stream_base, s)`. A set is therefore stale iff one of
+  /// its expanded nodes had its in-row changed — new arcs into an
+  /// unvisited node, or into a node at depth max_steps whose in-row is
+  /// never read, cannot affect it, and untouched sets replay their draws
+  /// identically. At j = 1 only the target is expanded. Stale sets are
+  /// regenerated from their original child streams, so the repaired
+  /// sketch is bit-identical to Regenerate(g, num_sets, max_steps,
+  /// stream_base) from scratch. A node-count change rebuilds everything
+  /// (every set's target draw shifts).
   ///
   /// Returns the number of sets regenerated (== num_sets() on a full
   /// rebuild) — the O(ball) locality metric BM_StreamUpdate gates on.
@@ -74,9 +88,16 @@ class RrSketch {
   /// (checkpointed by the stream pipeline; feed back into Regenerate).
   uint64_t stream_base() const { return stream_base_; }
 
+  /// The step horizon the sets were drawn at (-1 = unbounded).
+  int max_steps() const { return max_steps_; }
   size_t num_sets() const { return sets_.size(); }
   size_t num_nodes() const { return num_nodes_; }
+  /// Each set in BFS order: its target first, nodes by nondecreasing depth.
   const std::vector<std::vector<NodeId>>& sets() const { return sets_; }
+  /// Per set, the length of its expanded prefix (the nodes at depth
+  /// < max_steps, whose in-rows the set's draws read); the whole set when
+  /// unbounded.
+  const std::vector<uint32_t>& expanded() const { return expanded_; }
 
   /// Unbiased spread estimate: |V| * (covered RR sets / total RR sets).
   double EstimateSpread(const std::vector<NodeId>& seeds) const;
@@ -97,7 +118,7 @@ class RrSketch {
   /// Shared backend of Generate/Regenerate: samples sets [0, count) from
   /// the child streams of `stream_base`.
   static Result<RrSketch> GenerateImpl(const GraphView& g, size_t count,
-                                       uint64_t stream_base,
+                                       int max_steps, uint64_t stream_base,
                                        size_t num_threads);
   /// Regenerates the listed sets from their child streams and rebuilds
   /// the inverted index.
@@ -106,8 +127,13 @@ class RrSketch {
   void RebuildInvertedIndex();
 
   size_t num_nodes_ = 0;
+  int max_steps_ = -1;
   uint64_t stream_base_ = 0;
   std::vector<std::vector<NodeId>> sets_;
+  std::vector<uint32_t> expanded_;
+  /// Repair's changed-row membership, epoch-stamped so a warm repair does
+  /// not re-zero an O(n) array.
+  VisitedSet changed_;
   /// For each node, the indices of RR sets containing it (inverted index).
   std::vector<std::vector<uint32_t>> node_to_sets_;
 };

@@ -71,12 +71,15 @@ Result<std::unique_ptr<StreamPipeline>> StreamPipeline::Build(
   PRIVIM_RETURN_NOT_OK(initial.EnsureInCsr());
   std::unique_ptr<StreamPipeline> p(
       new StreamPipeline(std::move(initial), std::move(options)));
-  // Binds checkpoints to (initial graph content, seed, sketch size): a
-  // resume against any other stream is rejected, never silently replayed.
+  // Binds checkpoints to (initial graph content, seed, sketch size, sketch
+  // horizon): a resume against any other stream is rejected, never
+  // silently replayed.
   p->fingerprint_ =
       GraphContentFingerprint(*p->base_, p->options_.seed) ^
       (0x9e3779b97f4a7c15ull *
-       static_cast<uint64_t>(p->options_.rr_sketch_sets));
+       static_cast<uint64_t>(p->options_.rr_sketch_sets)) ^
+      (0xc2b2ae3d27d4eb4full *
+       static_cast<uint64_t>(p->options_.utility_steps + 1));
   p->delta_ = std::make_unique<GraphDelta>(*p->base_);
   p->workspaces_.EnsureSlots(1);
   const bool can_resume =
@@ -97,7 +100,8 @@ Status StreamPipeline::Init() {
   Rng sketch_rng = Rng::FromStreamKey(options_.seed, kSketchStreamId);
   PRIVIM_ASSIGN_OR_RETURN(
       sketch_, RrSketch::Generate(View(), options_.rr_sketch_sets,
-                                  sketch_rng, options_.num_threads));
+                                  options_.utility_steps, sketch_rng,
+                                  options_.num_threads));
   // Round 0: the stream serves a trained model from the first batch on.
   PRIVIM_RETURN_NOT_OK(RetrainRound());
   if (!options_.checkpoint_dir.empty()) {
@@ -110,7 +114,7 @@ Status StreamPipeline::Restore(const StreamState& state) {
   if (state.fingerprint != fingerprint_) {
     return Status::FailedPrecondition(
         "stream checkpoint was written by a different (initial graph, "
-        "seed, sketch) configuration");
+        "seed, sketch size, sketch horizon utility_steps) configuration");
   }
   if (state.sketch_sets != options_.rr_sketch_sets) {
     return Status::FailedPrecondition(StrFormat(
@@ -151,6 +155,7 @@ Status StreamPipeline::Restore(const StreamState& state) {
   // sketch the killed run held (the Repair == Regenerate contract).
   PRIVIM_ASSIGN_OR_RETURN(
       sketch_, RrSketch::Regenerate(View(), state.sketch_sets,
+                                    options_.utility_steps,
                                     state.sketch_stream_base,
                                     options_.num_threads));
   return Status::OK();
@@ -166,8 +171,9 @@ Result<StreamStepRecord> StreamPipeline::ApplyBatch(
   event_log_.insert(event_log_.end(), batch.events.begin(),
                     batch.events.end());
 
-  // Incremental sketch repair: only sets containing a changed in-row are
-  // regenerated (a node-count change rebuilds all — Repair decides).
+  // Incremental sketch repair: only sets with a changed in-row among their
+  // expanded nodes are regenerated (a node-count change rebuilds all —
+  // Repair decides).
   PRIVIM_ASSIGN_OR_RETURN(
       const size_t repaired,
       sketch_.Repair(View(), fx.changed_in_rows, options_.num_threads));

@@ -36,8 +36,10 @@ struct StreamOptions {
   /// Resident RR-sketch size (must be >= 1: incremental sketch
   /// maintenance is the streaming pipeline's core service).
   size_t rr_sketch_sets = 256;
-  /// Diffusion steps of the deterministic utility metric (the exact
-  /// unit-weight spread of the released seeds on the current graph).
+  /// Diffusion steps j of the deterministic utility metric (the exact
+  /// unit-weight spread of the released seeds on the current graph), and
+  /// the step horizon of the resident RR sketch. Bound into the checkpoint
+  /// fingerprint: a resume with another value fails.
   int utility_steps = 1;
   /// Base RNG key: the synthetic stream, the sketch streams, and every
   /// retraining round derive their keys from it.
@@ -61,10 +63,10 @@ struct StreamOptions {
 /// Per applied batch:
 ///  1. events mutate the overlay (ApplyUpdateBatch), reporting exactly
 ///     which adjacency rows changed;
-///  2. the resident RR sketch repairs only the sets containing a changed
-///     in-row (bit-identical to a from-scratch rebuild at the same RNG
-///     stream), and hop-ball caches drop only the balls containing a
-///     changed out-row — O(touched), never O(graph);
+///  2. the resident RR sketch repairs only the sets with a changed in-row
+///     among their expanded nodes (bit-identical to a from-scratch rebuild
+///     at the same RNG stream), and hop-ball caches drop only the balls
+///     containing a changed out-row — O(touched), never O(graph);
 ///  3. the retrain policy folds in the drift; when a trigger fires, the
 ///     overlay compacts to a fresh CSR, TrainDpGnn re-runs through
 ///     Pipeline::Build/Run on a per-round stream key, and the round's

@@ -1,7 +1,5 @@
 #include "tensor/matrix.h"
 
-#include <cmath>
-
 namespace privim {
 
 Matrix Matrix::FromRows(const std::vector<std::vector<float>>& rows) {
@@ -14,78 +12,10 @@ Matrix Matrix::FromRows(const std::vector<std::vector<float>>& rows) {
   return m;
 }
 
-void Matrix::AddInPlace(const Matrix& other) {
-  PRIVIM_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-}
-
-void Matrix::AddScaledInPlace(const Matrix& other, float scale) {
-  PRIVIM_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += scale * other.data_[i];
-  }
-}
-
-void Matrix::ScaleInPlace(float scale) {
-  for (float& x : data_) x *= scale;
-}
-
 double Matrix::Sum() const {
   double s = 0.0;
   for (float x : data_) s += x;
   return s;
-}
-
-double Matrix::FrobeniusNorm() const {
-  double s = 0.0;
-  for (float x : data_) s += static_cast<double>(x) * x;
-  return std::sqrt(s);
-}
-
-Matrix MatMulValues(const Matrix& a, const Matrix& b) {
-  PRIVIM_CHECK_EQ(a.cols(), b.rows());
-  Matrix out(a.rows(), b.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t k = 0; k < a.cols(); ++k) {
-      const float aik = a(i, k);
-      if (aik == 0.0f) continue;
-      const float* brow = b.row(k);
-      float* orow = out.row(i);
-      for (size_t j = 0; j < b.cols(); ++j) orow[j] += aik * brow[j];
-    }
-  }
-  return out;
-}
-
-Matrix MatTransMulValues(const Matrix& a, const Matrix& b) {
-  PRIVIM_CHECK_EQ(a.rows(), b.rows());
-  Matrix out(a.cols(), b.cols());
-  for (size_t k = 0; k < a.rows(); ++k) {
-    const float* arow = a.row(k);
-    const float* brow = b.row(k);
-    for (size_t i = 0; i < a.cols(); ++i) {
-      const float aki = arow[i];
-      if (aki == 0.0f) continue;
-      float* orow = out.row(i);
-      for (size_t j = 0; j < b.cols(); ++j) orow[j] += aki * brow[j];
-    }
-  }
-  return out;
-}
-
-Matrix MatMulTransValues(const Matrix& a, const Matrix& b) {
-  PRIVIM_CHECK_EQ(a.cols(), b.cols());
-  Matrix out(a.rows(), b.rows());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row(i);
-    for (size_t j = 0; j < b.rows(); ++j) {
-      const float* brow = b.row(j);
-      float dot = 0.0f;
-      for (size_t k = 0; k < a.cols(); ++k) dot += arow[k] * brow[k];
-      out(i, j) = dot;
-    }
-  }
-  return out;
 }
 
 }  // namespace privim

@@ -49,36 +49,16 @@ class Matrix {
   float* row(size_t r) { return data_.data() + r * cols_; }
   const float* row(size_t r) const { return data_.data() + r * cols_; }
 
-  bool SameShape(const Matrix& other) const {
-    return rows_ == other.rows_ && cols_ == other.cols_;
-  }
-
   void Fill(float v) { std::fill(data_.begin(), data_.end(), v); }
-
-  /// this += other (shapes must match).
-  void AddInPlace(const Matrix& other);
-  /// this += scale * other.
-  void AddScaledInPlace(const Matrix& other, float scale);
-  /// this *= scale.
-  void ScaleInPlace(float scale);
 
   /// Sum of all entries.
   double Sum() const;
-  /// Frobenius norm.
-  double FrobeniusNorm() const;
 
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
   std::vector<float> data_;
 };
-
-/// out = a * b (standard dense GEMM). Shapes: [m,k] x [k,n] -> [m,n].
-Matrix MatMulValues(const Matrix& a, const Matrix& b);
-/// out = a^T * b. Shapes: [k,m] x [k,n] -> [m,n].
-Matrix MatTransMulValues(const Matrix& a, const Matrix& b);
-/// out = a * b^T. Shapes: [m,k] x [n,k] -> [m,n].
-Matrix MatMulTransValues(const Matrix& a, const Matrix& b);
 
 }  // namespace privim
 

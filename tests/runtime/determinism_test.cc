@@ -164,15 +164,15 @@ TEST(RuntimeDeterminismTest, RrSketchBitIdenticalAcrossThreadCounts) {
 
   Rng ref_rng(17);
   RrSketch ref =
-      std::move(RrSketch::Generate(g, /*count=*/128, ref_rng,
-                                   /*num_threads=*/1))
+      std::move(RrSketch::Generate(g, /*count=*/128, /*max_steps=*/-1,
+                                   ref_rng, /*num_threads=*/1))
           .ValueOrDie();
   const uint64_t ref_next = ref_rng.NextUint64();
 
   for (size_t threads : kThreadCounts) {
     Rng rng(17);
     RrSketch got =
-        std::move(RrSketch::Generate(g, 128, rng, threads)).ValueOrDie();
+        std::move(RrSketch::Generate(g, 128, -1, rng, threads)).ValueOrDie();
     EXPECT_EQ(ref.sets(), got.sets()) << "threads=" << threads;
     EXPECT_EQ(ref_next, rng.NextUint64());
   }

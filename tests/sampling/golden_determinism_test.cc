@@ -185,7 +185,9 @@ TEST(GoldenDeterminismTest, RrSketchMatchesPinnedOutput) {
   for (size_t threads : kThreadCounts) {
     Rng rng(107);
     auto sketch = std::move(RrSketch::Generate(GoldenWeightedGraph(),
-                                               /*count=*/500, rng, threads))
+                                               /*count=*/500,
+                                               /*max_steps=*/-1, rng,
+                                               threads))
                       .ValueOrDie();
     EXPECT_EQ(HashRrSets(sketch.sets()), goldens::kRrSketchHash)
         << "threads=" << threads;

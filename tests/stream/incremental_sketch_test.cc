@@ -1,7 +1,8 @@
 // Incremental-vs-full equivalence suite (docs/streaming.md): repaired RR
 // sketches must be *bit-identical* to a from-scratch rebuild at the same
-// RNG stream, at every thread count; hop-ball invalidation must drop
-// exactly the affected balls and serve identical contents afterwards.
+// RNG stream, at every thread count and step horizon; hop-ball
+// invalidation must drop exactly the affected balls and serve identical
+// contents afterwards.
 
 #include <algorithm>
 #include <utility>
@@ -49,67 +50,83 @@ std::vector<NodeId> ApplyBatches(GraphDelta& delta, int batches,
   return changed;
 }
 
+/// The step horizons every equivalence case runs at: the paper's j = 1,
+/// a two-level prefix, and unbounded (full-length IC) sets.
+constexpr int kHorizons[] = {1, 2, -1};
+
 class RepairEquivalenceTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(RepairEquivalenceTest, RepairedSketchIsBitIdenticalToRebuild) {
   const size_t threads = GetParam();
-  Graph base = MakeTestGraph(120, 0xA11CE);
-  GraphDelta delta(base);
-  GraphView view(base, &delta);
+  for (int steps : kHorizons) {
+    SCOPED_TRACE(::testing::Message() << "max_steps=" << steps);
+    Graph base = MakeTestGraph(120, 0xA11CE);
+    GraphDelta delta(base);
+    GraphView view(base, &delta);
 
-  Rng rng(0xFACE);
-  RrSketch sketch =
-      std::move(RrSketch::Generate(view, 96, rng, threads)).ValueOrDie();
-  const uint64_t stream_base = sketch.stream_base();
+    Rng rng(0xFACE);
+    RrSketch sketch = std::move(RrSketch::Generate(view, 96, steps, rng,
+                                                   threads))
+                          .ValueOrDie();
+    const uint64_t stream_base = sketch.stream_base();
 
-  std::vector<NodeId> changed = ApplyBatches(delta, 4, 0x5eed);
-  ASSERT_FALSE(changed.empty());
+    std::vector<NodeId> changed = ApplyBatches(delta, 4, 0x5eed);
+    ASSERT_FALSE(changed.empty());
 
-  Result<size_t> repaired = sketch.Repair(view, changed, threads);
-  ASSERT_TRUE(repaired.ok());
-  EXPECT_GT(*repaired, 0u);
+    Result<size_t> repaired = sketch.Repair(view, changed, threads);
+    ASSERT_TRUE(repaired.ok());
+    EXPECT_GT(*repaired, 0u);
 
-  RrSketch rebuilt =
-      std::move(RrSketch::Regenerate(view, 96, stream_base, threads))
-          .ValueOrDie();
-  EXPECT_EQ(sketch.sets(), rebuilt.sets());
-  EXPECT_EQ(sketch.stream_base(), rebuilt.stream_base());
+    RrSketch rebuilt = std::move(RrSketch::Regenerate(view, 96, steps,
+                                                      stream_base, threads))
+                           .ValueOrDie();
+    EXPECT_EQ(sketch.sets(), rebuilt.sets());
+    EXPECT_EQ(sketch.expanded(), rebuilt.expanded());
+    EXPECT_EQ(sketch.stream_base(), rebuilt.stream_base());
+    EXPECT_EQ(sketch.max_steps(), rebuilt.max_steps());
 
-  // And the repaired sketch equals generation on the compacted CSR: the
-  // GraphView ordering contract (ascending merge == compacted row order)
-  // is what makes the draw sequences line up.
-  Graph compacted = std::move(delta.Compact()).ValueOrDie();
-  RrSketch on_compacted =
-      std::move(RrSketch::Regenerate(GraphView(compacted), 96, stream_base,
-                                     threads))
-          .ValueOrDie();
-  EXPECT_EQ(sketch.sets(), on_compacted.sets());
+    // And the repaired sketch equals generation on the compacted CSR: the
+    // GraphView ordering contract (ascending merge == compacted row order)
+    // is what makes the draw sequences line up.
+    Graph compacted = std::move(delta.Compact()).ValueOrDie();
+    RrSketch on_compacted =
+        std::move(RrSketch::Regenerate(GraphView(compacted), 96, steps,
+                                       stream_base, threads))
+            .ValueOrDie();
+    EXPECT_EQ(sketch.sets(), on_compacted.sets());
+  }
 }
 
 TEST_P(RepairEquivalenceTest, RepairAfterEveryBatchMatchesOneShotRebuild) {
   // Repair applied incrementally after each batch must converge to the
   // same sketch as one rebuild at the end — repairs compose.
   const size_t threads = GetParam();
-  Graph base = MakeTestGraph(100, 0xB0B);
-  GraphDelta delta(base);
-  GraphView view(base, &delta);
+  for (int steps : kHorizons) {
+    SCOPED_TRACE(::testing::Message() << "max_steps=" << steps);
+    Graph base = MakeTestGraph(100, 0xB0B);
+    GraphDelta delta(base);
+    GraphView view(base, &delta);
 
-  Rng rng(0xCAB);
-  RrSketch sketch =
-      std::move(RrSketch::Generate(view, 64, rng, threads)).ValueOrDie();
-  StreamGenConfig cfg;
-  cfg.events_per_batch = 16;
-  for (int b = 0; b < 5; ++b) {
-    UpdateBatch batch =
-        MakeSyntheticBatch(view, static_cast<uint64_t>(b), 0x77, cfg);
-    Result<ApplyEffects> fx = ApplyUpdateBatch(delta, batch);
-    ASSERT_TRUE(fx.ok());
-    ASSERT_TRUE(sketch.Repair(view, fx->changed_in_rows, threads).ok());
+    Rng rng(0xCAB);
+    RrSketch sketch = std::move(RrSketch::Generate(view, 64, steps, rng,
+                                                   threads))
+                          .ValueOrDie();
+    StreamGenConfig cfg;
+    cfg.events_per_batch = 16;
+    for (int b = 0; b < 5; ++b) {
+      UpdateBatch batch =
+          MakeSyntheticBatch(view, static_cast<uint64_t>(b), 0x77, cfg);
+      Result<ApplyEffects> fx = ApplyUpdateBatch(delta, batch);
+      ASSERT_TRUE(fx.ok());
+      ASSERT_TRUE(sketch.Repair(view, fx->changed_in_rows, threads).ok());
+    }
+    RrSketch rebuilt =
+        std::move(RrSketch::Regenerate(view, 64, steps, sketch.stream_base(),
+                                       threads))
+            .ValueOrDie();
+    EXPECT_EQ(sketch.sets(), rebuilt.sets());
+    EXPECT_EQ(sketch.expanded(), rebuilt.expanded());
   }
-  RrSketch rebuilt = std::move(RrSketch::Regenerate(
-                                   view, 64, sketch.stream_base(), threads))
-                         .ValueOrDie();
-  EXPECT_EQ(sketch.sets(), rebuilt.sets());
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, RepairEquivalenceTest,
@@ -130,7 +147,8 @@ TEST(RepairTest, SmallUpdateRepairsFewSets) {
   GraphView view(base, &delta);
   Rng rng(0x42);
   RrSketch sketch =
-      std::move(RrSketch::Generate(view, 256, rng, 1)).ValueOrDie();
+      std::move(RrSketch::Generate(view, 256, /*max_steps=*/-1, rng, 1))
+          .ValueOrDie();
 
   ASSERT_TRUE(delta.AddEdge(10, 20, 0.5f).ok());
   Result<size_t> repaired =
@@ -142,22 +160,74 @@ TEST(RepairTest, SmallUpdateRepairsFewSets) {
 }
 
 TEST(RepairTest, NodeCountChangeForcesFullRebuild) {
+  // The full rebuild keeps the sketch's horizon.
   Graph base = MakeTestGraph(60, 0xF00);
   GraphDelta delta(base);
   GraphView view(base, &delta);
   Rng rng(0x43);
   RrSketch sketch =
-      std::move(RrSketch::Generate(view, 32, rng, 1)).ValueOrDie();
+      std::move(RrSketch::Generate(view, 32, /*max_steps=*/2, rng, 1))
+          .ValueOrDie();
 
   ASSERT_TRUE(delta.AddNode().ok());
   Result<size_t> repaired = sketch.Repair(view, std::vector<NodeId>{}, 1);
   ASSERT_TRUE(repaired.ok());
   EXPECT_EQ(*repaired, sketch.num_sets());
+  EXPECT_EQ(sketch.max_steps(), 2);
   RrSketch rebuilt = std::move(RrSketch::Regenerate(
-                                   view, 32, sketch.stream_base(), 1))
+                                   view, 32, 2, sketch.stream_base(), 1))
                          .ValueOrDie();
   EXPECT_EQ(sketch.sets(), rebuilt.sets());
   EXPECT_EQ(sketch.num_nodes(), view.num_nodes());
+}
+
+TEST(RepairTest, OneStepRepairsOnlySetsWhoseTargetInRowChanged) {
+  // At j = 1 a set reads only its target's in-row. A batch of arcs into
+  // non-target nodes (from targets, whose out-rows change) repairs
+  // nothing; an arc into a target repairs exactly the sets drawn at it.
+  Graph base = MakeTestGraph(200, 0x1517);
+  GraphDelta delta(base);
+  GraphView view(base, &delta);
+  Rng rng(0x44);
+  RrSketch sketch =
+      std::move(RrSketch::Generate(view, 48, /*max_steps=*/1, rng, 1))
+          .ValueOrDie();
+  std::vector<uint8_t> is_target(view.num_nodes(), 0);
+  for (const std::vector<NodeId>& rr : sketch.sets()) is_target[rr[0]] = 1;
+  std::vector<NodeId> heads;
+  for (NodeId v = 0; v < view.num_nodes() && heads.size() < 8; ++v) {
+    if (!is_target[v]) heads.push_back(v);
+  }
+  const NodeId target = sketch.sets()[0][0];
+  std::vector<NodeId> changed;
+  for (NodeId head : heads) {
+    if (delta.AddEdge(target, head, 1.0f).ok()) changed.push_back(head);
+  }
+  ASSERT_FALSE(changed.empty());
+  Result<size_t> repaired = sketch.Repair(view, changed, 1);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_EQ(*repaired, 0u);
+  RrSketch rebuilt = std::move(RrSketch::Regenerate(
+                                   view, 48, 1, sketch.stream_base(), 1))
+                         .ValueOrDie();
+  EXPECT_EQ(sketch.sets(), rebuilt.sets());
+
+  size_t drawn_at_target = 0;
+  for (const std::vector<NodeId>& rr : sketch.sets()) {
+    drawn_at_target += rr[0] == target ? 1 : 0;
+  }
+  bool added = false;
+  for (size_t i = 0; i < heads.size() && !added; ++i) {
+    added = delta.AddEdge(heads[i], target, 1.0f).ok();
+  }
+  ASSERT_TRUE(added);
+  repaired = sketch.Repair(view, std::vector<NodeId>{target}, 1);
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_EQ(*repaired, drawn_at_target);
+  rebuilt = std::move(RrSketch::Regenerate(view, 48, 1,
+                                           sketch.stream_base(), 1))
+                .ValueOrDie();
+  EXPECT_EQ(sketch.sets(), rebuilt.sets());
 }
 
 TEST(HopBallCacheTest, InvalidateDropsExactlyAffectedBalls) {
