@@ -866,7 +866,7 @@ void BM_ShardOverlap(benchmark::State& state) {
   // plan-cache fills would otherwise all land on whichever schedule runs
   // first and swamp the comparison.
   {
-    options.overlap.overlap = false;
+    options.overlap = false;
     ShardRunner warmup(train_sub.local, eval_sub.local, cfg, options);
     benchmark::DoNotOptimize(std::move(warmup.Run()).ValueOrDie().spread);
   }
@@ -876,7 +876,7 @@ void BM_ShardOverlap(benchmark::State& state) {
   std::vector<NodeId> overlap_seeds;
   std::vector<NodeId> serial_seeds;
   for (auto _ : state) {
-    options.overlap.overlap = true;
+    options.overlap = true;
     ShardRunner overlapped(train_sub.local, eval_sub.local, cfg, options);
     ShardedRunResult with =
         std::move(overlapped.Run()).ValueOrDie();
@@ -884,7 +884,7 @@ void BM_ShardOverlap(benchmark::State& state) {
     stage_sum += with.stage_seconds;
     overlap_seeds = with.seeds;
 
-    options.overlap.overlap = false;
+    options.overlap = false;
     ShardRunner serialized(train_sub.local, eval_sub.local, cfg, options);
     ShardedRunResult without =
         std::move(serialized.Run()).ValueOrDie();

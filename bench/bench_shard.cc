@@ -1,30 +1,40 @@
 // Sharded-pipeline benchmark (docs/sharding.md): runs the shared-nothing
 // ShardRunner over the Email synthetic stand-in at shards {1, 2, 4, 8} x
-// threads {1, 8}, once with the overlap scheduler on and once fully
-// serialized, and writes one JSON row per cell to BENCH_shard.json with
+// threads {1, 8}, with the overlap scheduler on and with the stages fully
+// serialized, and writes one JSON row per cell to BENCH_shard.json.
+//
+// Protocol: per cell, one untimed warm-up run, then kRepeats pairs of
+// runs, one overlapped and one serialized, alternating which of the two
+// goes first. Every number is the median over the repeats; the walls
+// carry their interquartile range too. The file header records the git
+// sha, nproc and the repeat count.
 //
 //   shards, threads          the grid cell
-//   overlap_wall_seconds     end-to-end wall with shard k+1's sampling
-//                            overlapped against shard k's training
-//   serial_wall_seconds      the same cell with --no-overlap (stages
-//                            strictly serialized), for reference
-//   stage_seconds            sum of all per-shard stage times in the
-//                            overlapped run — what strictly serialized
+//   overlap_wall_s           median end-to-end wall with shard k+1's
+//                            sampling overlapped against shard k's
+//                            training (overlap_wall_iqr_s: its IQR)
+//   serial_wall_s            median wall of the same cell with the stages
+//                            strictly serialized (serial_wall_iqr_s)
+//   overlap_over_serial      overlap_wall_s / serial_wall_s; below 1 means
+//                            the scheduler saves end-to-end wall time
+//   stage_s                  median sum of all per-shard stage times in the
+//                            overlapped runs — what strictly serialized
 //                            stages would cost (docs/sharding.md's
 //                            overlap-timing methodology)
-//   savings_pct              100 * (1 - overlap_wall/stage_seconds); the
-//                            acceptance number: >= 20 at shards >= 2
+//   savings_pct              100 * (1 - overlap_wall_s / stage_s)
 //   spread, epsilon_spent    merged-result headline (identical between
-//                            the overlap and serialized runs — checked)
+//                            every overlapped and serialized run — checked)
 //
 // Environment:
 //   BENCH_SHARD_OUT    output path (default BENCH_shard.json)
 //   BENCH_SHARD_SCALE  dataset scale multiplier (default 2.0)
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -39,26 +49,45 @@ namespace privim {
 namespace {
 
 constexpr uint64_t kSeed = 42;
+constexpr size_t kRepeats = 5;
+
+/// Median and interquartile range of a sample (nearest-rank quartiles).
+struct Summary {
+  double median = 0;
+  double iqr = 0;
+};
+
+Summary Summarize(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return {bench::Median(values), values[(3 * n) / 4] - values[n / 4]};
+}
 
 struct Row {
   size_t shards = 0;
   size_t threads = 0;
-  double overlap_wall_seconds = 0;
-  double serial_wall_seconds = 0;
+  Summary overlap_wall;
+  Summary serial_wall;
   double stage_seconds = 0;
-  double savings_pct = 0;
   double spread = 0;
   double epsilon_spent = 0;
 };
 
 std::string RowJson(const Row& r) {
+  const double savings =
+      r.stage_seconds > 0.0
+          ? 100.0 * (1.0 - r.overlap_wall.median / r.stage_seconds)
+          : 0.0;
   return StrFormat(
       "    {\"shards\": %zu, \"threads\": %zu, "
-      "\"overlap_wall_seconds\": %.3f, \"serial_wall_seconds\": %.3f, "
-      "\"stage_seconds\": %.3f, \"savings_pct\": %.1f, "
-      "\"spread\": %.2f, \"epsilon_spent\": %.4f}",
-      r.shards, r.threads, r.overlap_wall_seconds, r.serial_wall_seconds,
-      r.stage_seconds, r.savings_pct, r.spread, r.epsilon_spent);
+      "\"overlap_wall_s\": %.4f, \"overlap_wall_iqr_s\": %.4f, "
+      "\"serial_wall_s\": %.4f, \"serial_wall_iqr_s\": %.4f, "
+      "\"overlap_over_serial\": %.3f, \"stage_s\": %.4f, "
+      "\"savings_pct\": %.1f, \"spread\": %.2f, \"epsilon_spent\": %.4f}",
+      r.shards, r.threads, r.overlap_wall.median, r.overlap_wall.iqr,
+      r.serial_wall.median, r.serial_wall.iqr,
+      r.overlap_wall.median / r.serial_wall.median, r.stage_seconds, savings,
+      r.spread, r.epsilon_spent);
 }
 
 int RunAll() {
@@ -68,10 +97,10 @@ int RunAll() {
   const char* scale_env = std::getenv("BENCH_SHARD_SCALE");
   const double scale = scale_env != nullptr ? std::atof(scale_env) : 2.0;
 
-  // The privim_cli / privim_shard graph protocol: synthesize, then 50/50
-  // node-split into train and eval halves. Email (avg degree ~25) rather
-  // than a sparser social graph: an 8-shard node partition keeps ~1/8 of
-  // the arcs, and the per-shard graphs must stay dense enough to sample
+  // The privim_cli graph protocol: synthesize, then 50/50 node-split into
+  // train and eval halves. Email (avg degree ~25) rather than a sparser
+  // social graph: an 8-shard node partition keeps ~1/8 of the arcs, and
+  // the per-shard graphs must stay dense enough to sample
   // (docs/sharding.md, "choosing n under sharding").
   Rng gen_rng(kSeed);
   Graph full = bench::DieOnError(
@@ -105,49 +134,53 @@ int RunAll() {
       ShardRunOptions options;
       options.num_shards = shards;
       options.seed = kSeed;
+      auto run = [&](bool overlap) {
+        options.overlap = overlap;
+        ShardRunner runner(train_sub.local, eval_sub.local, cfg, options);
+        return bench::DieOnError(runner.Run(), "sharded run");
+      };
+
+      // Warm-up (untimed): first-touch page faults, allocator growth and
+      // plan-cache fills would otherwise land on whichever schedule runs
+      // first.
+      const ShardedRunResult reference = run(true);
+      std::vector<double> overlap_walls, serial_walls, stage_sums;
+      for (size_t r = 0; r < kRepeats; ++r) {
+        for (const bool overlap : {r % 2 == 0, r % 2 != 0}) {
+          const ShardedRunResult result = run(overlap);
+          // The scheduler is pure scheduling: results must not move.
+          if (result.seeds != reference.seeds ||
+              result.epsilon_spent != reference.epsilon_spent) {
+            std::cerr << "bench_shard: the schedule changed results at "
+                      << "shards=" << shards << " threads=" << threads
+                      << "\n";
+            return 1;
+          }
+          (overlap ? overlap_walls : serial_walls)
+              .push_back(result.wall_seconds);
+          if (overlap) stage_sums.push_back(result.stage_seconds);
+        }
+      }
 
       Row row;
       row.shards = shards;
       row.threads = threads;
-
-      options.overlap.overlap = true;
-      ShardRunner overlapped(train_sub.local, eval_sub.local, cfg, options);
-      ShardedRunResult with = bench::DieOnError(
-          overlapped.Run(), "overlapped sharded run");
-      row.overlap_wall_seconds = with.wall_seconds;
-      row.stage_seconds = with.stage_seconds;
-      row.spread = with.spread;
-      row.epsilon_spent = with.epsilon_spent;
-
-      options.overlap.overlap = false;
-      ShardRunner serialized(train_sub.local, eval_sub.local, cfg, options);
-      ShardedRunResult without = bench::DieOnError(
-          serialized.Run(), "serialized sharded run");
-      row.serial_wall_seconds = without.wall_seconds;
-      // Wall vs the sum of per-stage times: the stage timers prove how
-      // much of the serialized stage cost the scheduler hid. (Run-vs-run
-      // wall ratios only diverge on multi-core hosts; this metric is
-      // meaningful on any core count — docs/sharding.md.)
-      row.savings_pct =
-          row.stage_seconds > 0.0
-              ? 100.0 * (1.0 - row.overlap_wall_seconds /
-                                   row.stage_seconds)
-              : 0.0;
-
-      // The scheduler is pure scheduling: results must not move.
-      if (with.seeds != without.seeds ||
-          with.epsilon_spent != without.epsilon_spent) {
-        std::cerr << "bench_shard: overlap changed results at shards="
-                  << shards << " threads=" << threads << "\n";
-        return 1;
-      }
-
+      row.overlap_wall = Summarize(overlap_walls);
+      row.serial_wall = Summarize(serial_walls);
+      row.stage_seconds = bench::Median(stage_sums);
+      row.spread = reference.spread;
+      row.epsilon_spent = reference.epsilon_spent;
       std::cerr << RowJson(row) << "\n";
       rows.push_back(RowJson(row));
     }
   }
 
-  std::string json = "{\n  \"bench\": \"shard\",\n  \"rows\": [\n";
+  std::string json = StrFormat(
+      "{\n  \"bench\": \"shard\",\n  \"git_sha\": \"%s\",\n"
+      "  \"nproc\": %u,\n  \"repeats\": %zu,\n  \"scale\": %.2f,\n"
+      "  \"rows\": [\n",
+      bench::GitSha().c_str(), std::thread::hardware_concurrency(),
+      kRepeats, scale);
   for (size_t i = 0; i < rows.size(); ++i) {
     json += rows[i];
     json += (i + 1 < rows.size()) ? ",\n" : "\n";

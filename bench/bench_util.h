@@ -2,6 +2,7 @@
 #define PRIVIM_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
@@ -55,6 +56,22 @@ inline double MedianSeconds(size_t repeats, const std::function<void()>& fn) {
     samples.push_back(timer.ElapsedSeconds());
   }
   return Median(std::move(samples));
+}
+
+/// Short sha of the checkout HEAD (`git rev-parse --short HEAD` in the
+/// working directory), or "unknown" outside a git checkout. Stamped into
+/// BENCH rows so every number names the code it measured.
+inline std::string GitSha() {
+  std::string sha;
+  if (FILE* pipe = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
+    char buf[64];
+    while (fgets(buf, sizeof(buf), pipe) != nullptr) sha += buf;
+    pclose(pipe);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == ' ')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
 }
 
 }  // namespace privim::bench

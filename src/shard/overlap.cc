@@ -8,18 +8,20 @@
 
 namespace privim {
 
-Status RunStagePipeline(size_t num_shards, const OverlapOptions& options,
+namespace {
+
+// Shards in flight at once under the overlapped schedule.
+constexpr size_t kMaxInFlight = 2;
+
+}  // namespace
+
+Status RunStagePipeline(size_t num_shards, bool overlap,
                         const std::function<Status(size_t)>& stage_a,
                         const std::function<Status(size_t)>& stage_b) {
   if (stage_a == nullptr || stage_b == nullptr) {
     return Status::InvalidArgument("RunStagePipeline: null stage callback");
   }
-  if (options.max_in_flight == 0) {
-    return Status::InvalidArgument(
-        "overlap.max_in_flight must be >= 1, got 0");
-  }
-
-  if (!options.overlap || options.max_in_flight == 1 || num_shards <= 1) {
+  if (!overlap || num_shards <= 1) {
     for (size_t s = 0; s < num_shards; ++s) {
       PRIVIM_RETURN_NOT_OK(stage_a(s));
       PRIVIM_RETURN_NOT_OK(stage_b(s));
@@ -48,7 +50,7 @@ Status RunStagePipeline(size_t num_shards, const OverlapOptions& options,
     }
   };
 
-  const size_t workers = std::min(options.max_in_flight, num_shards);
+  const size_t workers = std::min(kMaxInFlight, num_shards);
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (size_t i = 0; i < workers; ++i) threads.emplace_back(worker);

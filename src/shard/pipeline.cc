@@ -5,21 +5,15 @@
 namespace privim {
 
 Pipeline::Pipeline(Graph train_graph, Graph eval_graph,
-                   PipelineConfig config, bool serving_only)
+                   PipelineConfig config)
     : train_graph_(std::move(train_graph)),
       eval_graph_(std::move(eval_graph)),
       config_(std::move(config)),
-      serving_only_(serving_only),
       telemetry_(std::make_unique<RunTelemetry>()) {}
 
 Result<Pipeline> Pipeline::Build(Graph train_graph, Graph eval_graph,
                                  PipelineConfig config) {
   PRIVIM_RETURN_NOT_OK(config.method.Validate());
-  if (config.shard.num_shards > 0 &&
-      config.shard.overlap.max_in_flight == 0) {
-    return Status::InvalidArgument(
-        "shard.overlap.max_in_flight must be >= 1, got 0");
-  }
   // Materialize both in-CSRs now, on this one thread. In-degree features
   // (BuildNodeFeatures) require the in-CSR, and EnsureInCsr() is not
   // thread-safe — lazy materialization from concurrent shard tasks was a
@@ -27,16 +21,7 @@ Result<Pipeline> Pipeline::Build(Graph train_graph, Graph eval_graph,
   PRIVIM_RETURN_NOT_OK(train_graph.EnsureInCsr());
   PRIVIM_RETURN_NOT_OK(eval_graph.EnsureInCsr());
   return Pipeline(std::move(train_graph), std::move(eval_graph),
-                  std::move(config), /*serving_only=*/false);
-}
-
-Result<Pipeline> Pipeline::BuildForServing(Graph graph) {
-  // Same eager-in-CSR contract: the server's worker threads must never be
-  // the first to need the in-adjacency.
-  PRIVIM_RETURN_NOT_OK(graph.EnsureInCsr());
-  Graph empty_train;
-  return Pipeline(std::move(empty_train), std::move(graph),
-                  PipelineConfig{}, /*serving_only=*/true);
+                  std::move(config));
 }
 
 Result<PipelineRunResult> Pipeline::Run() { return Execute(false); }
@@ -44,11 +29,6 @@ Result<PipelineRunResult> Pipeline::Run() { return Execute(false); }
 Result<PipelineRunResult> Pipeline::Resume() { return Execute(true); }
 
 Result<PipelineRunResult> Pipeline::Execute(bool resume) {
-  if (serving_only_) {
-    return Status::FailedPrecondition(
-        "this Pipeline was built for serving (BuildForServing): it owns "
-        "the resident graph but has no train/eval split to run");
-  }
   PrivImConfig method = config_.method;
   if (resume) {
     if (!method.checkpoint.enabled()) {
@@ -81,8 +61,6 @@ Result<PipelineRunResult> Pipeline::Execute(bool resume) {
     ShardRunOptions shard_options;
     shard_options.num_shards = config_.shard.num_shards;
     shard_options.seed = config_.seed;
-    shard_options.salt = config_.shard.salt;
-    shard_options.overlap = config_.shard.overlap;
     ShardRunner runner(train_graph_, eval_graph_, method, shard_options);
     PRIVIM_ASSIGN_OR_RETURN(out.sharded_run, runner.Run(telemetry));
     out.seeds = out.sharded_run.seeds;

@@ -21,8 +21,6 @@ struct PipelineShardOptions {
   /// full partition -> run -> merge machinery and is bit-identical to the
   /// serial path (tested).
   size_t num_shards = 0;
-  OverlapOptions overlap;
-  uint64_t salt = kDefaultShardSalt;
 };
 
 /// Everything a Pipeline needs beyond its graphs.
@@ -62,9 +60,9 @@ struct PipelineRunResult {
 /// The stable facade every driver constructs the PrivIM pipeline through
 /// (docs/api.md, "Stable entry points"): one Build call owning the graphs,
 /// one Run/Resume call executing the configured path, one Telemetry()
-/// accessor. privim_cli uses the serial path, privim_shard the sharded
-/// path, privim_serve BuildForServing; none of them reach around the
-/// facade into RunMethod/ShardRunner directly.
+/// accessor. privim_cli takes the serial path or, with --shards N, the
+/// sharded one; no driver reaches around the facade into
+/// RunMethod/ShardRunner directly.
 ///
 /// Build eagerly materializes the in-CSR of every owned graph (in-degree
 /// features need it, and Graph::EnsureInCsr() is NOT thread-safe — doing
@@ -78,12 +76,6 @@ class Pipeline {
   /// and movable.
   static Result<Pipeline> Build(Graph train_graph, Graph eval_graph,
                                 PipelineConfig config);
-
-  /// Serving-mode Build: owns the single resident graph privim_serve's
-  /// Server answers queries over (in-CSR materialized here, before the
-  /// server's worker threads exist). Run()/Resume() on a serving pipeline
-  /// return FailedPrecondition.
-  static Result<Pipeline> BuildForServing(Graph graph);
 
   /// Executes the configured path (serial or sharded) from scratch.
   Result<PipelineRunResult> Run();
@@ -101,22 +93,18 @@ class Pipeline {
   const PipelineConfig& config() const { return config_; }
   const Graph& train_graph() const { return train_graph_; }
   const Graph& eval_graph() const { return eval_graph_; }
-  /// Serving mode: the resident graph (an alias of eval_graph()).
-  const Graph& graph() const { return eval_graph_; }
 
   Pipeline(Pipeline&&) = default;
   Pipeline& operator=(Pipeline&&) = default;
 
  private:
-  Pipeline(Graph train_graph, Graph eval_graph, PipelineConfig config,
-           bool serving_only);
+  Pipeline(Graph train_graph, Graph eval_graph, PipelineConfig config);
 
   Result<PipelineRunResult> Execute(bool resume);
 
   Graph train_graph_;
   Graph eval_graph_;
   PipelineConfig config_;
-  bool serving_only_ = false;
   // unique_ptr: MetricsRegistry is not movable, Pipeline is.
   std::unique_ptr<RunTelemetry> telemetry_;
 };

@@ -16,27 +16,25 @@ size_t ShardPlan::AssignShard(NodeId u, uint64_t salt, size_t num_shards) {
   return static_cast<size_t>(mix.Next() % num_shards);
 }
 
-Result<ShardPlan> ShardPlan::Partition(const Graph& g,
-                                       const ShardPlanOptions& options) {
-  if (options.num_shards == 0) {
+Result<ShardPlan> ShardPlan::Partition(const Graph& g, size_t num_shards) {
+  if (num_shards == 0) {
     return Status::InvalidArgument("shard.num_shards must be >= 1, got 0");
   }
-  if (options.num_shards > g.num_nodes()) {
+  if (num_shards > g.num_nodes()) {
     return Status::InvalidArgument(
         StrFormat("shard.num_shards (%zu) exceeds the graph's %zu nodes",
-                  options.num_shards, g.num_nodes()));
+                  num_shards, g.num_nodes()));
   }
 
   ShardPlan plan;
-  plan.salt_ = options.salt;
-  plan.shards_.resize(options.num_shards);
+  plan.shards_.resize(num_shards);
 
   // Assignment pass: owner shard and local id of every node. Local ids
   // count up in original-id order, so nodes(s) comes out ascending.
   std::vector<uint32_t> shard_of(g.num_nodes());
   std::vector<NodeId> local_id(g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const size_t s = AssignShard(u, options.salt, options.num_shards);
+    const size_t s = AssignShard(u, kShardSalt, num_shards);
     shard_of[u] = static_cast<uint32_t>(s);
     local_id[u] = static_cast<NodeId>(plan.shards_[s].nodes.size());
     plan.shards_[s].nodes.push_back(u);
@@ -53,7 +51,7 @@ Result<ShardPlan> ShardPlan::Partition(const Graph& g,
     }
   }));
 
-  for (size_t s = 0; s < options.num_shards; ++s) {
+  for (size_t s = 0; s < num_shards; ++s) {
     ShardPart& part = plan.shards_[s];
     GraphBuilder builder(part.nodes.size());
     const std::vector<NodeId>* nodes = &part.nodes;

@@ -9,17 +9,10 @@
 
 namespace privim {
 
-/// Default mixing salt for shard assignment. Train and eval graphs of one
-/// run must be partitioned with the SAME salt so a node's shard is a
-/// property of its id, not of which split it sits in.
-inline constexpr uint64_t kDefaultShardSalt = 0x5eed5a17u;
-
-struct ShardPlanOptions {
-  /// Number of node-disjoint partitions. Must satisfy
-  /// 1 <= num_shards <= num_nodes.
-  size_t num_shards = 1;
-  uint64_t salt = kDefaultShardSalt;
-};
+/// Mixing salt of every shard assignment. Train and eval graphs of one run
+/// are partitioned with the same salt, so a node's shard is a property of
+/// its id, not of which split it sits in.
+inline constexpr uint64_t kShardSalt = 0x5eed5a17u;
 
 /// Deterministic shared-nothing partition of a Graph: every node is owned
 /// by exactly one shard (SplitMix64 hash of its id — stable across runs,
@@ -39,13 +32,13 @@ class ShardPlan {
   /// Pure function of (node id, salt, num_shards): which shard owns `u`.
   static size_t AssignShard(NodeId u, uint64_t salt, size_t num_shards);
 
-  /// Partitions `g`. Streams each shard's arcs through
+  /// Partitions `g` into `num_shards` node-disjoint parts (1 <= num_shards
+  /// <= num_nodes, else InvalidArgument). Streams each shard's arcs through
   /// GraphBuilder::AddEdgeStream (no materialized edge lists) and builds
   /// every shard graph eagerly in-CSR: shard graphs are consumed from
   /// concurrent shard tasks, and a lazy Graph::EnsureInCsr() there would
   /// be a data race (tests/shard/shard_pipeline_test.cc pins this).
-  static Result<ShardPlan> Partition(const Graph& g,
-                                     const ShardPlanOptions& options);
+  static Result<ShardPlan> Partition(const Graph& g, size_t num_shards);
 
   size_t num_shards() const { return shards_.size(); }
 
@@ -59,7 +52,7 @@ class ShardPlan {
 
   /// Which shard owns original node `u`.
   size_t ShardOf(NodeId u) const {
-    return AssignShard(u, salt_, shards_.size());
+    return AssignShard(u, kShardSalt, shards_.size());
   }
 
   /// Original id of shard s's local node `local`.
@@ -79,7 +72,6 @@ class ShardPlan {
   };
 
   std::vector<ShardPart> shards_;
-  uint64_t salt_ = kDefaultShardSalt;
   uint64_t cut_arcs_ = 0;
   uint64_t intra_arcs_ = 0;
 };

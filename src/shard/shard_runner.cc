@@ -35,13 +35,12 @@ Result<ShardedRunResult> ShardRunner::Run(RunTelemetry* telemetry) {
     return Status::InvalidArgument("shard.num_shards must be >= 1, got 0");
   }
 
-  ShardPlanOptions plan_options;
-  plan_options.num_shards = options_.num_shards;
-  plan_options.salt = options_.salt;
-  PRIVIM_ASSIGN_OR_RETURN(ShardPlan train_plan,
-                          ShardPlan::Partition(*train_graph_, plan_options));
-  PRIVIM_ASSIGN_OR_RETURN(ShardPlan eval_plan,
-                          ShardPlan::Partition(*eval_graph_, plan_options));
+  PRIVIM_ASSIGN_OR_RETURN(
+      ShardPlan train_plan,
+      ShardPlan::Partition(*train_graph_, options_.num_shards));
+  PRIVIM_ASSIGN_OR_RETURN(
+      ShardPlan eval_plan,
+      ShardPlan::Partition(*eval_graph_, options_.num_shards));
   for (size_t s = 0; s < options_.num_shards; ++s) {
     if (eval_plan.nodes(s).size() < cfg_.seed_count) {
       return Status::InvalidArgument(StrFormat(

@@ -24,8 +24,9 @@ struct ShardRunOptions {
   /// (seed, shard id) alone — independent of scheduling, thread count, and
   /// shard completion order.
   uint64_t seed = 42;
-  uint64_t salt = kDefaultShardSalt;
-  OverlapOptions overlap;
+  /// false serializes the stages (overlap.h): the timing baseline of
+  /// bench_shard and BM_ShardOverlap.
+  bool overlap = true;
 };
 
 /// One shard's outcome, kept for diagnostics and the overlap-timing proof.
@@ -68,7 +69,7 @@ struct ShardedRunResult {
 };
 
 /// Shared-nothing sharded pipeline: partitions train and eval graphs with
-/// one ShardPlan salt, runs the full PrivIM method per shard (its own
+/// kShardSalt, runs the full PrivIM method per shard (its own
 /// graphs, its own Rng stream, its own checkpoint subdirectory
 /// `<dir>/shard<i>`), overlapping shard k+1's sampling with shard k's
 /// training (overlap.h), then merges per-shard seed sets and privacy

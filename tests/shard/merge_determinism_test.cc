@@ -55,7 +55,7 @@ class MergeDeterminismTest : public ::testing::Test {
     ShardRunOptions options;
     options.num_shards = shards;
     options.seed = kSeed;
-    options.overlap.overlap = overlap;
+    options.overlap = overlap;
     ShardRunner runner(instance_->train_graph, instance_->eval_graph,
                        Config(threads), options);
     return runner.Run();

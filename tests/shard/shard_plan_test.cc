@@ -21,12 +21,12 @@ Graph TestGraph(uint64_t seed = 7, size_t nodes = 120) {
 
 TEST(ShardPlanTest, AssignShardIsDeterministicAndInRange) {
   for (NodeId u = 0; u < 500; ++u) {
-    const size_t s = ShardPlan::AssignShard(u, kDefaultShardSalt, 4);
+    const size_t s = ShardPlan::AssignShard(u, kShardSalt, 4);
     EXPECT_LT(s, 4u);
-    EXPECT_EQ(s, ShardPlan::AssignShard(u, kDefaultShardSalt, 4));
+    EXPECT_EQ(s, ShardPlan::AssignShard(u, kShardSalt, 4));
   }
   // Single shard short-circuits.
-  EXPECT_EQ(ShardPlan::AssignShard(123, kDefaultShardSalt, 1), 0u);
+  EXPECT_EQ(ShardPlan::AssignShard(123, kShardSalt, 1), 0u);
   // The salt actually matters: at least one node of many moves.
   bool moved = false;
   for (NodeId u = 0; u < 100 && !moved; ++u) {
@@ -38,9 +38,7 @@ TEST(ShardPlanTest, AssignShardIsDeterministicAndInRange) {
 
 TEST(ShardPlanTest, PartitionCoversNodesDisjointly) {
   Graph g = TestGraph();
-  ShardPlanOptions options;
-  options.num_shards = 4;
-  ShardPlan plan = std::move(ShardPlan::Partition(g, options)).ValueOrDie();
+  ShardPlan plan = std::move(ShardPlan::Partition(g, 4)).ValueOrDie();
   ASSERT_EQ(plan.num_shards(), 4u);
 
   std::set<NodeId> seen;
@@ -62,9 +60,7 @@ TEST(ShardPlanTest, PartitionCoversNodesDisjointly) {
 
 TEST(ShardPlanTest, CutPlusIntraEqualsAllArcsAndShardsHoldIntraOnly) {
   Graph g = TestGraph();
-  ShardPlanOptions options;
-  options.num_shards = 3;
-  ShardPlan plan = std::move(ShardPlan::Partition(g, options)).ValueOrDie();
+  ShardPlan plan = std::move(ShardPlan::Partition(g, 3)).ValueOrDie();
   EXPECT_EQ(plan.cut_arcs() + plan.intra_arcs(), g.num_edges());
   EXPECT_GT(plan.cut_arcs(), 0u);  // An ER graph at 3 shards has cuts.
 
@@ -95,9 +91,7 @@ TEST(ShardPlanTest, CutPlusIntraEqualsAllArcsAndShardsHoldIntraOnly) {
 
 TEST(ShardPlanTest, SingleShardIsIdentity) {
   Graph g = TestGraph();
-  ShardPlanOptions options;
-  options.num_shards = 1;
-  ShardPlan plan = std::move(ShardPlan::Partition(g, options)).ValueOrDie();
+  ShardPlan plan = std::move(ShardPlan::Partition(g, 1)).ValueOrDie();
   EXPECT_EQ(plan.cut_arcs(), 0u);
   EXPECT_EQ(plan.intra_arcs(), g.num_edges());
   ASSERT_EQ(plan.graph(0).num_nodes(), g.num_nodes());
@@ -110,9 +104,7 @@ TEST(ShardPlanTest, ShardGraphsAreBuiltInCsrEagerly) {
   // there would be a data race (see shard_pipeline_test.cc for the
   // concurrent-readers proof).
   Graph g = TestGraph();
-  ShardPlanOptions options;
-  options.num_shards = 2;
-  ShardPlan plan = std::move(ShardPlan::Partition(g, options)).ValueOrDie();
+  ShardPlan plan = std::move(ShardPlan::Partition(g, 2)).ValueOrDie();
   EXPECT_TRUE(plan.graph(0).has_in_csr());
   EXPECT_TRUE(plan.graph(1).has_in_csr());
 }
@@ -120,10 +112,8 @@ TEST(ShardPlanTest, ShardGraphsAreBuiltInCsrEagerly) {
 TEST(ShardPlanTest, PartitionIsDeterministic) {
   Graph g1 = TestGraph();
   Graph g2 = TestGraph();
-  ShardPlanOptions options;
-  options.num_shards = 4;
-  ShardPlan a = std::move(ShardPlan::Partition(g1, options)).ValueOrDie();
-  ShardPlan b = std::move(ShardPlan::Partition(g2, options)).ValueOrDie();
+  ShardPlan a = std::move(ShardPlan::Partition(g1, 4)).ValueOrDie();
+  ShardPlan b = std::move(ShardPlan::Partition(g2, 4)).ValueOrDie();
   for (size_t s = 0; s < 4; ++s) {
     EXPECT_EQ(a.nodes(s), b.nodes(s));
     EXPECT_EQ(a.graph(s).Edges(), b.graph(s).Edges());
@@ -132,11 +122,8 @@ TEST(ShardPlanTest, PartitionIsDeterministic) {
 
 TEST(ShardPlanTest, RejectsBadShardCounts) {
   Graph g = TestGraph();
-  ShardPlanOptions options;
-  options.num_shards = 0;
-  EXPECT_FALSE(ShardPlan::Partition(g, options).ok());
-  options.num_shards = g.num_nodes() + 1;
-  auto too_many = ShardPlan::Partition(g, options);
+  EXPECT_FALSE(ShardPlan::Partition(g, 0).ok());
+  auto too_many = ShardPlan::Partition(g, g.num_nodes() + 1);
   ASSERT_FALSE(too_many.ok());
   EXPECT_NE(too_many.status().ToString().find("exceeds"),
             std::string::npos);

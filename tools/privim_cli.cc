@@ -2,26 +2,31 @@
 // stand-in or an edge-list file), a method and a privacy budget, and get a
 // private seed set with full accounting telemetry. Built on the stable
 // Pipeline facade (shard/pipeline.h) and the shared driver flags
-// (core/driver_options.h) — the same surface privim_shard and privim_serve
-// use.
+// (core/driver_options.h) — the same surface privim_serve and
+// privim_stream use.
+//
+// --shards N runs the same mechanism over N node-disjoint partitions
+// (docs/sharding.md): the shards compose in parallel, so the global spend
+// is the max over shards. --shards 1 prints the same seeds, spread and
+// epsilon as the serial default (--shards 0).
 //
 // Examples:
 //   privim_cli --dataset LastFM --method 'PrivIM*' --epsilon 2
 //   privim_cli --edge-list graph.txt --undirected --k 25 --epsilon 1
 //   privim_cli --dataset Gowalla --method PrivIM --epsilon 3 --gnn gcn \
 //              --auto-tune --save-model model.ckpt
+//   privim_cli --dataset LastFM --shards 4 --threads 8 --epsilon 2
 
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/string_util.h"
+#include "common/table_printer.h"
 #include "core/driver_options.h"
 #include "core/privim.h"
 #include "graph/datasets.h"
-#include "graph/io.h"
 #include "graph/subgraph.h"
 #include "im/metrics.h"
 #include "im/seed_selection.h"
@@ -32,14 +37,11 @@ namespace privim {
 namespace {
 
 struct CliOptions {
-  std::string dataset = "LastFM";
-  std::string edge_list;
-  bool undirected = false;
   std::string method = "PrivIM*";
   std::string gnn;
   double epsilon = 2.0;
   size_t k = 50;
-  double scale = 1.0;
+  size_t shards = 0;
   std::string diffusion = "exact";
   bool auto_tune = false;
   bool with_celf = true;
@@ -51,22 +53,19 @@ void PrintUsage() {
   std::cout <<
       R"(privim_cli — differentially private influence maximization
 
-  --dataset NAME     synthetic dataset stand-in (Email, Bitcoin, LastFM,
-                     HepPh, Facebook, Gowalla, Friendster)  [LastFM]
-  --edge-list PATH   load a graph from an edge list instead
-  --undirected       treat the edge list as undirected
   --method NAME      PrivIM*, PrivIM, PrivIM+SCS, EGN, HP, HP-GRAT,
                      Non-Private                            [PrivIM*]
   --gnn NAME         backbone override: grat, gat, gcn, sage, gin
-  --epsilon X        privacy budget                         [2.0]
+  --epsilon X        privacy budget (per shard when sharded; parallel
+                     composition makes it the global spend)  [2.0]
   --k N              seed budget                            [50]
-  --scale X          synthetic dataset scale multiplier     [1.0]
+  --shards N         node-disjoint partitions (0 = serial)  [0]
   --eval-diffusion NAME
                      evaluation model: exact, mc, lt, sis   [exact]
   --diffusion NAME   alias for --eval-diffusion
   --auto-tune        pick (n, M) with the Gamma indicator
   --no-celf          skip the CELF reference (faster)
-  --save-model PATH  write the trained model checkpoint
+  --save-model PATH  write the trained model checkpoint (serial only)
 )" << DriverOptions::UsageText()
             << "  --help             this text\n";
 }
@@ -78,42 +77,27 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
                             opts.driver.TryParse(argc, argv, i));
     if (shared) continue;
     const std::string arg = argv[i];
-    auto next = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument(arg + " requires a value");
-      }
-      return std::string(argv[++i]);
-    };
     if (arg == "--help" || arg == "-h") {
       PrintUsage();
       std::exit(0);
-    } else if (arg == "--dataset") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.dataset, next());
-    } else if (arg == "--edge-list") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.edge_list, next());
-    } else if (arg == "--undirected") {
-      opts.undirected = true;
     } else if (arg == "--method") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.method, next());
+      PRIVIM_ASSIGN_OR_RETURN(opts.method, FlagValue(argc, argv, i));
     } else if (arg == "--gnn") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.gnn, next());
+      PRIVIM_ASSIGN_OR_RETURN(opts.gnn, FlagValue(argc, argv, i));
     } else if (arg == "--epsilon") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.epsilon = std::atof(v.c_str());
+      PRIVIM_ASSIGN_OR_RETURN(opts.epsilon, RealFlagValue(argc, argv, i));
     } else if (arg == "--k") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.k = static_cast<size_t>(std::atoll(v.c_str()));
-    } else if (arg == "--scale") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.scale = std::atof(v.c_str());
+      PRIVIM_ASSIGN_OR_RETURN(opts.k, UnsignedFlagValue(argc, argv, i));
+    } else if (arg == "--shards") {
+      PRIVIM_ASSIGN_OR_RETURN(opts.shards, UnsignedFlagValue(argc, argv, i));
     } else if (arg == "--diffusion" || arg == "--eval-diffusion") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.diffusion, next());
+      PRIVIM_ASSIGN_OR_RETURN(opts.diffusion, FlagValue(argc, argv, i));
     } else if (arg == "--auto-tune") {
       opts.auto_tune = true;
     } else if (arg == "--no-celf") {
       opts.with_celf = false;
     } else if (arg == "--save-model") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.save_model, next());
+      PRIVIM_ASSIGN_OR_RETURN(opts.save_model, FlagValue(argc, argv, i));
     } else {
       return Status::InvalidArgument("unknown flag " + arg +
                                      " (try --help)");
@@ -123,28 +107,48 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
   if (opts.epsilon <= 0) {
     return Status::InvalidArgument("--epsilon must be positive");
   }
+  if (opts.shards > 0 && !opts.save_model.empty()) {
+    return Status::InvalidArgument(
+        "--save-model needs the serial path: a sharded run trains one "
+        "model per shard and exports none");
+  }
   PRIVIM_RETURN_NOT_OK(opts.driver.Validate());
   return opts;
 }
 
+void PrintShardDetail(const ShardedRunResult& sharded) {
+  std::cout << "partition: train " << sharded.train_intra_arcs
+            << " intra + " << sharded.train_cut_arcs
+            << " cut arcs dropped; eval " << sharded.eval_intra_arcs
+            << " intra + " << sharded.eval_cut_arcs << " cut\n";
+  TablePrinter table({"Shard", "subgraphs", "extract s", "finish s",
+                      "epsilon"});
+  for (const ShardOutcome& shard : sharded.shards) {
+    table.AddRow(StrFormat("%zu", shard.shard),
+                 {static_cast<double>(shard.run.container_size),
+                  shard.extract_seconds, shard.finish_seconds,
+                  shard.run.epsilon_spent},
+                 3);
+  }
+  table.Print(std::cout);
+  std::cout << "timing: wall " << FormatDouble(sharded.wall_seconds, 3)
+            << "s vs serialized stages "
+            << FormatDouble(sharded.stage_seconds, 3) << "s ("
+            << FormatDouble(
+                   sharded.stage_seconds > 0.0
+                       ? 100.0 * (1.0 - sharded.wall_seconds /
+                                            sharded.stage_seconds)
+                       : 0.0,
+                   1)
+            << "% saved by overlap)\n";
+}
+
 Status RunCli(const CliOptions& opts) {
   // ---- Load or synthesize the graph and split it. ----
-  Graph full;
-  std::string source;
-  size_t paper_nodes = 0;
-  if (!opts.edge_list.empty()) {
-    PRIVIM_ASSIGN_OR_RETURN(full,
-                            LoadEdgeList(opts.edge_list, opts.undirected));
-    source = opts.edge_list;
-    paper_nodes = full.num_nodes();
-  } else {
-    PRIVIM_ASSIGN_OR_RETURN(DatasetId id, ParseDatasetId(opts.dataset));
-    Rng gen_rng(opts.driver.seed);
-    PRIVIM_ASSIGN_OR_RETURN(full, MakeDataset(id, gen_rng, opts.scale));
-    source = GetDatasetSpec(id).name + " (synthetic stand-in)";
-    paper_nodes = GetDatasetSpec(id).paper_nodes;
-  }
-  std::cout << "graph: " << source << " — " << full.num_nodes()
+  PRIVIM_ASSIGN_OR_RETURN(DriverOptions::LoadedGraph loaded,
+                          opts.driver.LoadGraph());
+  const Graph& full = loaded.graph;
+  std::cout << "graph: " << loaded.source << " — " << full.num_nodes()
             << " nodes, " << full.num_edges() << " arcs\n";
 
   Rng split_rng(opts.driver.seed + 1);
@@ -174,7 +178,7 @@ Status RunCli(const CliOptions& opts) {
     PRIVIM_ASSIGN_OR_RETURN(config.gnn.type, ParseGnnType(opts.gnn));
   }
   if (opts.auto_tune) {
-    AutoTuneSamplingParams(paper_nodes, config);
+    AutoTuneSamplingParams(loaded.paper_nodes, config);
     std::cout << "indicator-tuned parameters: n = "
               << config.freq.subgraph_size
               << ", M = " << config.freq.frequency_threshold << "\n";
@@ -185,6 +189,7 @@ Status RunCli(const CliOptions& opts) {
   pipeline_config.method = config;
   pipeline_config.seed = opts.driver.seed;
   pipeline_config.collect_telemetry = !opts.driver.telemetry_path.empty();
+  pipeline_config.shard.num_shards = opts.shards;
   PRIVIM_ASSIGN_OR_RETURN(
       Pipeline pipeline,
       Pipeline::Build(std::move(train_sub.local), std::move(eval_sub.local),
@@ -192,31 +197,46 @@ Status RunCli(const CliOptions& opts) {
   PRIVIM_ASSIGN_OR_RETURN(
       PipelineRunResult result,
       opts.driver.resume ? pipeline.Resume() : pipeline.Run());
-  const PrivImRunResult& run = result.run;
 
   std::cout << "\nmethod: " << MethodName(method) << " ("
-            << GnnTypeName(config.gnn.type) << " backbone)\n";
+            << GnnTypeName(config.gnn.type) << " backbone)";
+  if (result.sharded) {
+    std::cout << ", " << opts.shards << " shard"
+              << (opts.shards == 1 ? "" : "s") << "\n";
+    PrintShardDetail(result.sharded_run);
+  } else {
+    const PrivImRunResult& run = result.run;
+    std::cout << "\n";
+    if (method != Method::kNonPrivate) {
+      std::cout << "noise: sigma = " << run.sigma << ", clip C = "
+                << run.clip_bound_used << ", N_g = " << run.occurrence_bound
+                << "\n";
+    }
+    std::cout << "container: " << run.container_size << " subgraphs ("
+              << run.stage1_count << " + " << run.stage2_count
+              << "), audited max occurrence " << run.audited_max_occurrence
+              << "\n";
+    std::cout << "timings: preprocessing " << run.preprocessing_seconds
+              << "s, per-epoch " << run.per_epoch_seconds << "s\n";
+  }
+
+  std::cout << "\nseeds (" << result.seeds.size() << "):";
+  for (size_t i = 0; i < result.seeds.size(); ++i) {
+    std::cout << (i == 0 ? " " : ", ") << result.seeds[i];
+  }
+  std::cout << "\nspread (" << opts.diffusion << " model): " << result.spread
+            << "\n";
   if (method != Method::kNonPrivate) {
-    std::cout << "privacy: (" << run.epsilon_spent << ", "
-              << config.budget.delta << ")-DP node-level; sigma = "
-              << run.sigma << ", clip C = " << run.clip_bound_used
-              << ", N_g = " << run.occurrence_bound << "\n";
+    std::cout << "privacy: (" << result.epsilon_spent << ", "
+              << config.budget.delta << ")-DP node-level\n";
+    if (result.sharded) {
+      std::cout << "privacy composition: parallel over " << opts.shards
+                << " node-disjoint shard" << (opts.shards == 1 ? "" : "s")
+                << " (epsilon = max over shards)\n";
+    }
   } else {
     std::cout << "privacy: none (epsilon = inf)\n";
   }
-  std::cout << "container: " << run.container_size << " subgraphs ("
-            << run.stage1_count << " + " << run.stage2_count
-            << "), audited max occurrence " << run.audited_max_occurrence
-            << "\n";
-  std::cout << "timings: preprocessing " << run.preprocessing_seconds
-            << "s, per-epoch " << run.per_epoch_seconds << "s\n";
-
-  std::cout << "\nseeds (" << run.seeds.size() << "):";
-  for (size_t i = 0; i < run.seeds.size(); ++i) {
-    std::cout << (i == 0 ? " " : ", ") << run.seeds[i];
-  }
-  std::cout << "\nspread (" << opts.diffusion << " model): " << run.spread
-            << "\n";
 
   if (opts.with_celf &&
       config.eval_diffusion == PrivImConfig::EvalDiffusion::kExactIc) {
@@ -230,7 +250,7 @@ Status RunCli(const CliOptions& opts) {
                             CelfSelect(candidates, opts.k, oracle));
     std::cout << "CELF reference: " << celf.spread << " => coverage ratio "
               << FormatDouble(
-                     CoverageRatioPercent(run.spread, celf.spread), 2)
+                     CoverageRatioPercent(result.spread, celf.spread), 2)
               << "%\n";
   }
 
@@ -239,7 +259,7 @@ Status RunCli(const CliOptions& opts) {
     std::cout << "model checkpoint written to " << opts.save_model << "\n";
   }
 
-  if (pipeline_config.collect_telemetry) {
+  if (!opts.driver.telemetry_path.empty()) {
     std::cout << "\n";
     pipeline.Telemetry().PrintSummary(std::cout);
     PRIVIM_RETURN_NOT_OK(
@@ -254,15 +274,5 @@ Status RunCli(const CliOptions& opts) {
 }  // namespace privim
 
 int main(int argc, char** argv) {
-  auto opts = privim::ParseArgs(argc, argv);
-  if (!opts.ok()) {
-    std::cerr << opts.status() << "\n";
-    return 2;
-  }
-  privim::Status status = privim::RunCli(*opts);
-  if (!status.ok()) {
-    std::cerr << status << "\n";
-    return 1;
-  }
-  return 0;
+  return privim::DriverMain(privim::ParseArgs(argc, argv), privim::RunCli);
 }

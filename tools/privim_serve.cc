@@ -25,29 +25,22 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "core/driver_options.h"
-#include "graph/datasets.h"
-#include "graph/io.h"
 #include "nn/features.h"
 #include "nn/gnn.h"
 #include "obs/telemetry.h"
 #include "serve/harness.h"
 #include "serve/server.h"
-#include "shard/pipeline.h"
 
 namespace privim {
 namespace {
 
 struct ServeCliOptions {
-  std::string dataset = "LastFM";
-  std::string edge_list;
-  bool undirected = false;
   std::string snapshot;
   std::string mix = "all";  // all | seed-selection | spread-analytics | mixed
   size_t clients = 0;       // 0 = 2x threads
   size_t requests = 200;    // per client
   size_t sketch_sets = 2048;
   size_t queue_capacity = 1024;
-  double scale = 1.0;
   /// Shared driver flags (core/driver_options.h). Serving has no
   /// checkpointable pipeline, so --checkpoint-dir/--resume are rejected.
   DriverOptions driver;
@@ -58,10 +51,6 @@ struct ServeCliOptions {
 void PrintUsage() {
   std::cout << R"(privim_serve: drive the online influence-query server
 
-  --dataset NAME     synthetic dataset stand-in (Email, Bitcoin, LastFM,
-                     Gowalla, HepPh, DBLP)                  [LastFM]
-  --edge-list PATH   load a graph from an edge list instead
-  --undirected       treat the edge list as undirected
   --snapshot PATH    model checkpoint to serve (privim_cli --save-model);
                      omitted = randomly initialized stand-in model
   --mix NAME         seed-selection, spread-analytics, mixed, or all [all]
@@ -70,7 +59,6 @@ void PrintUsage() {
   --sketch-sets N    resident RR-sketch size (0 disables sketch) [2048]
   --queue-capacity N admission bound; beyond it clients see
                      ResourceExhausted backpressure             [1024]
-  --scale X          synthetic dataset scale multiplier           [1.0]
 )" << DriverOptions::UsageText(ServeCliOptions::kFeatures)
             << "  --help             this text\n";
 }
@@ -83,40 +71,27 @@ Result<ServeCliOptions> ParseArgs(int argc, char** argv) {
         opts.driver.TryParse(argc, argv, i, ServeCliOptions::kFeatures));
     if (shared) continue;
     const std::string arg = argv[i];
-    auto next = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument(arg + " requires a value");
-      }
-      return std::string(argv[++i]);
-    };
     if (arg == "--help" || arg == "-h") {
       PrintUsage();
       std::exit(0);
-    } else if (arg == "--dataset") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.dataset, next());
-    } else if (arg == "--edge-list") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.edge_list, next());
-    } else if (arg == "--undirected") {
-      opts.undirected = true;
     } else if (arg == "--snapshot") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.snapshot, next());
+      PRIVIM_ASSIGN_OR_RETURN(opts.snapshot, FlagValue(argc, argv, i));
     } else if (arg == "--mix") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.mix, next());
+      PRIVIM_ASSIGN_OR_RETURN(opts.mix, FlagValue(argc, argv, i));
     } else if (arg == "--clients") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.clients = static_cast<size_t>(std::atoll(v.c_str()));
+      PRIVIM_ASSIGN_OR_RETURN(
+          opts.clients, UnsignedFlagValue(argc, argv, i, kMaxDriverThreads));
     } else if (arg == "--requests") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.requests = static_cast<size_t>(std::atoll(v.c_str()));
+      PRIVIM_ASSIGN_OR_RETURN(opts.requests,
+                              UnsignedFlagValue(argc, argv, i));
     } else if (arg == "--sketch-sets") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.sketch_sets = static_cast<size_t>(std::atoll(v.c_str()));
+      PRIVIM_ASSIGN_OR_RETURN(
+          opts.sketch_sets,
+          UnsignedFlagValue(argc, argv, i, kMaxDriverBuffer));
     } else if (arg == "--queue-capacity") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.queue_capacity = static_cast<size_t>(std::atoll(v.c_str()));
-    } else if (arg == "--scale") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.scale = std::atof(v.c_str());
+      PRIVIM_ASSIGN_OR_RETURN(
+          opts.queue_capacity,
+          UnsignedFlagValue(argc, argv, i, kMaxDriverBuffer));
     } else {
       return Status::InvalidArgument("unknown flag " + arg +
                                      " (see --help)");
@@ -131,32 +106,15 @@ Result<ServeCliOptions> ParseArgs(int argc, char** argv) {
 
 Status Run(const ServeCliOptions& opts) {
   // ---- Graph. ----
-  Graph loaded;
-  std::string source;
-  if (!opts.edge_list.empty()) {
-    // Load out-adjacency only: while the parsed edge buffer is still
-    // alive, only half the arc storage exists, which lowers the load-time
-    // peak RSS on large resident graphs (docs/scale.md).
-    GraphBuildOptions load_opts;
-    load_opts.build_in_csr = false;
-    PRIVIM_ASSIGN_OR_RETURN(
-        loaded, LoadEdgeList(opts.edge_list, opts.undirected, load_opts));
-    source = opts.edge_list;
-  } else {
-    PRIVIM_ASSIGN_OR_RETURN(DatasetId id, ParseDatasetId(opts.dataset));
-    Rng graph_rng(opts.driver.seed);
-    PRIVIM_ASSIGN_OR_RETURN(loaded,
-                            MakeDataset(id, graph_rng, opts.scale));
-    source = opts.dataset;
-  }
-  // The facade materializes the in-CSR (snapshot features read in-degrees
-  // and the RR sketch walks in-edges) before the Server freezes the graph
-  // as const — its worker threads must never be the first to need it.
-  PRIVIM_ASSIGN_OR_RETURN(Pipeline pipeline,
-                          Pipeline::BuildForServing(std::move(loaded)));
-  const Graph& graph = pipeline.graph();
-  std::cout << "graph: " << source << " (" << graph.num_nodes()
-            << " nodes, " << graph.num_edges() << " edges)\n";
+  PRIVIM_ASSIGN_OR_RETURN(DriverOptions::LoadedGraph loaded,
+                          opts.driver.LoadGraph());
+  // Snapshot features read in-degrees and the RR sketch walks in-edges:
+  // materialize the in-CSR before the Server freezes the graph as const —
+  // its worker threads must never be the first to need it.
+  PRIVIM_RETURN_NOT_OK(loaded.graph.EnsureInCsr());
+  const Graph& graph = loaded.graph;
+  std::cout << "graph: " << loaded.source << " — " << graph.num_nodes()
+            << " nodes, " << graph.num_edges() << " arcs\n";
 
   // ---- Server. ----
   RunTelemetry telemetry;
@@ -246,16 +204,5 @@ Status Run(const ServeCliOptions& opts) {
 }  // namespace privim
 
 int main(int argc, char** argv) {
-  privim::Result<privim::ServeCliOptions> opts =
-      privim::ParseArgs(argc, argv);
-  if (!opts.ok()) {
-    std::cerr << opts.status().ToString() << "\n";
-    return 2;
-  }
-  const privim::Status status = privim::Run(opts.ValueOrDie());
-  if (!status.ok()) {
-    std::cerr << status.ToString() << "\n";
-    return 1;
-  }
-  return 0;
+  return privim::DriverMain(privim::ParseArgs(argc, argv), privim::Run);
 }

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,28 +24,22 @@
 #include "common/table_printer.h"
 #include "core/driver_options.h"
 #include "core/privim.h"
-#include "graph/datasets.h"
-#include "graph/io.h"
 #include "stream/stream_pipeline.h"
 
 namespace privim {
 namespace {
 
 struct StreamCliOptions {
-  std::string dataset = "LastFM";
-  std::string edge_list;
-  bool undirected = false;
   std::string method = "PrivIM*";
   double epsilon = 2.0;
   size_t k = 50;
-  double scale = 1.0;
   size_t batches = 20;
   size_t updates_per_batch = 64;
   double add_fraction = 0.6;
   double retrain_drift = 0.1;
   size_t retrain_every = 0;
   size_t sketch_sets = 256;
-  int utility_steps = 1;
+  size_t utility_steps = 1;
   std::string curves_path;
   DriverOptions driver;
 };
@@ -53,16 +48,11 @@ void PrintUsage() {
   std::cout <<
       R"(privim_stream — dynamic-graph streaming PrivIM pipeline
 
-  --dataset NAME         synthetic initial graph (Email, Bitcoin, LastFM,
-                         HepPh, Facebook, Gowalla, Friendster)  [LastFM]
-  --edge-list PATH       load the initial graph from an edge list
-  --undirected           treat the edge list as undirected
   --method NAME          PrivIM*, PrivIM, PrivIM+SCS, EGN, HP, HP-GRAT,
                          Non-Private                            [PrivIM*]
   --epsilon X            per-round privacy budget; rounds compose
                          in the continual-observation ledger    [2.0]
   --k N                  seed budget per released set           [50]
-  --scale X              synthetic dataset scale multiplier     [1.0]
   --batches N            update batches to replay               [20]
   --updates-per-batch N  events per synthetic batch             [64]
   --add-fraction X       fraction of events adding an edge      [0.6]
@@ -84,55 +74,40 @@ Result<StreamCliOptions> ParseArgs(int argc, char** argv) {
                             opts.driver.TryParse(argc, argv, i));
     if (shared) continue;
     const std::string arg = argv[i];
-    auto next = [&]() -> Result<std::string> {
-      if (i + 1 >= argc) {
-        return Status::InvalidArgument(arg + " requires a value");
-      }
-      return std::string(argv[++i]);
-    };
     if (arg == "--help" || arg == "-h") {
       PrintUsage();
       std::exit(0);
-    } else if (arg == "--dataset") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.dataset, next());
-    } else if (arg == "--edge-list") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.edge_list, next());
-    } else if (arg == "--undirected") {
-      opts.undirected = true;
     } else if (arg == "--method") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.method, next());
+      PRIVIM_ASSIGN_OR_RETURN(opts.method, FlagValue(argc, argv, i));
     } else if (arg == "--epsilon") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.epsilon = std::atof(v.c_str());
+      PRIVIM_ASSIGN_OR_RETURN(opts.epsilon, RealFlagValue(argc, argv, i));
     } else if (arg == "--k") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.k = static_cast<size_t>(std::atoll(v.c_str()));
-    } else if (arg == "--scale") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.scale = std::atof(v.c_str());
+      PRIVIM_ASSIGN_OR_RETURN(opts.k, UnsignedFlagValue(argc, argv, i));
     } else if (arg == "--batches") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.batches = static_cast<size_t>(std::atoll(v.c_str()));
+      PRIVIM_ASSIGN_OR_RETURN(opts.batches, UnsignedFlagValue(argc, argv, i));
     } else if (arg == "--updates-per-batch") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.updates_per_batch = static_cast<size_t>(std::atoll(v.c_str()));
+      PRIVIM_ASSIGN_OR_RETURN(
+          opts.updates_per_batch,
+          UnsignedFlagValue(argc, argv, i, kMaxDriverBuffer));
     } else if (arg == "--add-fraction") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.add_fraction = std::atof(v.c_str());
+      PRIVIM_ASSIGN_OR_RETURN(opts.add_fraction,
+                              RealFlagValue(argc, argv, i));
     } else if (arg == "--retrain-drift") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.retrain_drift = std::atof(v.c_str());
+      PRIVIM_ASSIGN_OR_RETURN(opts.retrain_drift,
+                              RealFlagValue(argc, argv, i));
     } else if (arg == "--retrain-every") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.retrain_every = static_cast<size_t>(std::atoll(v.c_str()));
+      PRIVIM_ASSIGN_OR_RETURN(opts.retrain_every,
+                              UnsignedFlagValue(argc, argv, i));
     } else if (arg == "--sketch-sets") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.sketch_sets = static_cast<size_t>(std::atoll(v.c_str()));
+      PRIVIM_ASSIGN_OR_RETURN(
+          opts.sketch_sets,
+          UnsignedFlagValue(argc, argv, i, kMaxDriverBuffer));
     } else if (arg == "--utility-steps") {
-      PRIVIM_ASSIGN_OR_RETURN(std::string v, next());
-      opts.utility_steps = static_cast<int>(std::atoll(v.c_str()));
+      PRIVIM_ASSIGN_OR_RETURN(
+          opts.utility_steps,
+          UnsignedFlagValue(argc, argv, i, std::numeric_limits<int>::max()));
     } else if (arg == "--curves") {
-      PRIVIM_ASSIGN_OR_RETURN(opts.curves_path, next());
+      PRIVIM_ASSIGN_OR_RETURN(opts.curves_path, FlagValue(argc, argv, i));
     } else {
       return Status::InvalidArgument("unknown flag " + arg +
                                      " (try --help)");
@@ -183,20 +158,11 @@ Status WriteCurves(const std::vector<StreamStepRecord>& history,
 }
 
 Status RunStreamCli(const StreamCliOptions& opts) {
-  // ---- Initial graph. ----
-  Graph initial;
-  std::string source;
-  if (!opts.edge_list.empty()) {
-    PRIVIM_ASSIGN_OR_RETURN(initial,
-                            LoadEdgeList(opts.edge_list, opts.undirected));
-    source = opts.edge_list;
-  } else {
-    PRIVIM_ASSIGN_OR_RETURN(DatasetId id, ParseDatasetId(opts.dataset));
-    Rng gen_rng(opts.driver.seed);
-    PRIVIM_ASSIGN_OR_RETURN(initial, MakeDataset(id, gen_rng, opts.scale));
-    source = GetDatasetSpec(id).name + " (synthetic stand-in)";
-  }
-  std::cout << "graph: " << source << " — " << initial.num_nodes()
+  // ---- Initial graph (StreamPipeline::Build materializes its in-CSR). ----
+  PRIVIM_ASSIGN_OR_RETURN(DriverOptions::LoadedGraph loaded,
+                          opts.driver.LoadGraph());
+  Graph& initial = loaded.graph;
+  std::cout << "graph: " << loaded.source << " — " << initial.num_nodes()
             << " nodes, " << initial.num_edges() << " arcs\n";
 
   // ---- Stream configuration. ----
@@ -211,7 +177,7 @@ Status RunStreamCli(const StreamCliOptions& opts) {
   stream.gen.events_per_batch = opts.updates_per_batch;
   stream.gen.add_fraction = opts.add_fraction;
   stream.rr_sketch_sets = opts.sketch_sets;
-  stream.utility_steps = opts.utility_steps;
+  stream.utility_steps = static_cast<int>(opts.utility_steps);
   stream.seed = opts.driver.seed;
   stream.num_threads = opts.driver.threads;
   stream.checkpoint_dir = opts.driver.checkpoint_dir;
@@ -283,15 +249,5 @@ Status RunStreamCli(const StreamCliOptions& opts) {
 }  // namespace privim
 
 int main(int argc, char** argv) {
-  auto opts = privim::ParseArgs(argc, argv);
-  if (!opts.ok()) {
-    std::cerr << opts.status() << "\n";
-    return 2;
-  }
-  privim::Status status = privim::RunStreamCli(*opts);
-  if (!status.ok()) {
-    std::cerr << status << "\n";
-    return 1;
-  }
-  return 0;
+  return privim::DriverMain(privim::ParseArgs(argc, argv), privim::RunStreamCli);
 }

@@ -3,7 +3,8 @@
 #
 #   1. tier-1: Release build + the full unit/property ctest suite
 #      (labels: `ctest -L unit`, `-L property`, `-L sanitizer`, `-L ckpt`,
-#      `-L plan`, `-L serve` select subsets; see tests/CMakeLists.txt),
+#      `-L plan`, `-L serve`, `-L cli` select subsets; see
+#      tests/CMakeLists.txt),
 #      then the zero-allocation gates (bench_micro's PlanSteadyStateAllocs
 #      and ServeSteadyStateAllocs cases exit nonzero if the plan runtime
 #      or the warm serving path heap-allocates in steady state), and the
@@ -70,11 +71,12 @@ PRIVIM_FORCE_ISA=scalar ctest --test-dir "$BUILD_DIR" -L simd \
 echo "== stage 1e: sharded pipeline suite + overlap-scheduler gate =="
 # `ctest -L shard` selects the src/shard/ suite (partitioner invariants,
 # merge determinism across shards x threads x repeats, shards=1 == serial
-# bit-identity, the Pipeline facade contracts). The bench_micro
+# bit-identity, the Pipeline facade contracts); `ctest -L cli` runs the
+# privim_cli driver serial and with --shards N. The bench_micro
 # ShardOverlap case then runs the real 2-shard pipeline and exits nonzero
 # unless the overlap scheduler hides >= 20% of the serialized stage cost
 # (the wall-vs-stage-sum methodology of docs/sharding.md).
-ctest --test-dir "$BUILD_DIR" -L shard -j"$(nproc)" --output-on-failure
+ctest --test-dir "$BUILD_DIR" -L 'shard|cli' -j"$(nproc)" --output-on-failure
 "$BUILD_DIR/bench/bench_micro" --benchmark_filter='ShardOverlap'
 
 echo "== stage 1f: streaming pipeline suite + O(ball) update gate =="
